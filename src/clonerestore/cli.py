@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import protocol
 from .core import make_pure
-from .protocol import SweepRecord
 from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
+# alpha^2 rows evaluated, formatted and written at a time. It bounds the
+# plane kernel's (rows, n_phi, 4, 4, 4) complex intermediate, so memory
+# does not grow with --grid-alpha.
+_BLOCK_ROWS = 4
 
 
 def _fmt(x: float) -> str:
@@ -75,77 +79,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_records(args) -> tuple[list[SweepRecord], float]:
+def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list[np.ndarray]:
+    """Value columns after alpha2,phi for a block of rows starting at ``first_row``.
+
+    Each column has shape (rows in the block, n_phi). The first one is
+    the mode's evaluator, the column the ``# average=`` line averages
+    except in mc mode, where it is the third (``f_mc``).
+    """
+    shape = (aa.shape[0], pp.shape[1])
+    analytic = np.broadcast_to(protocol.analytic_fidelity(aa, pp), shape)
+    if args.mode == "analytic":
+        return [analytic, analytic]
+    if args.mode == "baseline":
+        baseline = np.broadcast_to(protocol.baseline_fidelity_plane(aa, pp), shape)
+        return [baseline, baseline]
+    if args.mode == "mixed":
+        return [protocol.mixed_input_fidelity_plane(aa, pp), analytic]
+    exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
+    if args.mode == "exact":
+        return [exact, analytic]
+    f_mc = np.empty(shape)
+    mc_err = np.empty(shape)
+    for di, a2 in enumerate(aa[:, 0]):
+        for j, phi in enumerate(pp[0]):
+            seq = np.random.SeedSequence((args.seed, first_row + di, j))
+            res = protocol.mc_estimate(make_pure(a2, phi), args.pbit, args.pph,
+                                       args.trials, np.random.default_rng(seq))
+            f_mc[di, j] = res.mean
+            mc_err[di, j] = res.stderr
+    return [exact, analytic, f_mc, mc_err]
+
+
+def _write_sweep(args, fh) -> None:
+    """Evaluate, format and write the sweep one block of alpha^2 rows at a time."""
     alpha2s = protocol.alpha2_grid(args.grid_alpha)
     phis = protocol.phi_grid(args.grid_phi)
-    aa = alpha2s[:, None]
-    pp = phis[None, :]
-
-    analytic = np.broadcast_to(protocol.analytic_fidelity(aa, pp), (len(alpha2s), len(phis)))
-    if args.mode == "exact":
-        primary = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
-    elif args.mode == "mixed":
-        primary = protocol.mixed_input_fidelity_plane(aa, pp)
-    elif args.mode == "analytic":
-        primary = analytic
-    elif args.mode == "baseline":
-        primary = np.broadcast_to(protocol.baseline_fidelity_plane(aa, pp), analytic.shape)
-        analytic = primary
-    else:  # mc: exact reference column plus the sampled estimate
-        primary = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
-
-    f_mc = mc_err = None
+    header = "alpha2,phi,f_exact,f_analytic"
     if args.mode == "mc":
-        f_mc = np.empty_like(primary)
-        mc_err = np.empty_like(primary)
-        for i, a2 in enumerate(alpha2s):
-            for j, phi in enumerate(phis):
-                rng = np.random.default_rng(np.random.SeedSequence((args.seed, i, j)))
-                res = protocol.mc_estimate(make_pure(a2, phi), args.pbit, args.pph,
-                                           args.trials, rng)
-                f_mc[i, j] = res.mean
-                mc_err[i, j] = res.stderr
+        header += ",f_mc,mc_stderr"
+    fh.write(header + "\n")
 
-    records = []
-    for i, a2 in enumerate(alpha2s):
-        for j, phi in enumerate(phis):
-            records.append(SweepRecord(
-                alpha2=float(a2), phi=float(phi),
-                f_exact=float(primary[i, j]), f_analytic=float(analytic[i, j]),
-                f_mc=None if f_mc is None else float(f_mc[i, j]),
-                mc_stderr=None if mc_err is None else float(mc_err[i, j]),
-            ))
-    averaged = f_mc if args.mode == "mc" else primary
+    # A row's template is alpha2.join(phi_pieces): every line starts with
+    # the row's alpha2, then the phi formatted once per run, then one %.12g
+    # per value column. "%.12g" % x gives the same bytes as _fmt(x).
+    n_values = header.count(",") - 1
+    phi_pieces = [""] + [f",{_fmt(phi)}" + ",%.12g" * n_values + "\n" for phi in phis]
+    averaged = np.empty((len(alpha2s), len(phis)))
+    for lo in range(0, len(alpha2s), _BLOCK_ROWS):
+        block = alpha2s[lo:lo + _BLOCK_ROWS]
+        cols = _block_columns(args, lo, block[:, None], phis[None, :])
+        averaged[lo:lo + len(block)] = cols[2 if args.mode == "mc" else 0]
+        template = "".join(_fmt(a2).join(phi_pieces) for a2 in block)
+        fh.write(template % tuple(np.stack(cols, axis=-1).ravel().tolist()))
     average = protocol.grid_average(averaged, len(alpha2s), len(phis))
-    return records, average
+    fh.write(f"# average={_fmt(average)}\n")
 
 
 def cmd_sweep(args) -> int:
     if args.grid_alpha < 2:
         print("sweep: --grid-alpha must be at least 2", file=sys.stderr)
         return 2
-    records, average = _sweep_records(args)
-    header = "alpha2,phi,f_exact,f_analytic"
-    if args.mode == "mc":
-        header += ",f_mc,mc_stderr"
-    lines = [header]
-    for r in records:
-        row = [_fmt(r.alpha2), _fmt(r.phi), _fmt(r.f_exact), _fmt(r.f_analytic)]
-        if args.mode == "mc":
-            row += [_fmt(r.f_mc), _fmt(r.mc_stderr)]
-        lines.append(",".join(row))
-    lines.append(f"# average={_fmt(average)}")
-    text = "\n".join(lines) + "\n"
-
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        with (nullcontext(sys.stdout) if args.out == "-"
+              else open(args.out, "w", newline="")) as fh:
+            _write_sweep(args, fh)
+    except OSError as exc:
+        print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

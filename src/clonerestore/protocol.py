@@ -265,18 +265,6 @@ class MCResult:
     trials: int
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a parameter sweep."""
-
-    alpha2: float
-    phi: float
-    f_exact: float
-    f_analytic: float
-    f_mc: float | None = None
-    mc_stderr: float | None = None
-
-
 def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
                    rng: np.random.Generator, *, swapped: bool = False) -> TrajectoryRecord:
     """Sample one protocol run: outcomes, error, correction, overlap."""

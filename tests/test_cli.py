@@ -4,7 +4,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from clonerestore import protocol
 from clonerestore.cli import main
+from clonerestore.core import make_pure
 
 
 def run_cli(argv):
@@ -26,7 +28,74 @@ def parse_csv(text):
     return header, rows, average
 
 
+def expected_sweep(mode, n_alpha, n_phi, pbit=0.0, pph=0.0, trials=0, seed=0):
+    """The sweep CSV built from the public API: whole-plane evaluators,
+    one SeedSequence((seed, i, j)) per point in mc mode, and
+    format(x, ".12g") field by field."""
+    alpha2s = protocol.alpha2_grid(n_alpha)
+    phis = protocol.phi_grid(n_phi)
+    aa, pp = alpha2s[:, None], phis[None, :]
+    shape = (n_alpha, n_phi)
+    analytic = np.broadcast_to(protocol.analytic_fidelity(aa, pp), shape)
+    if mode in ("exact", "mc"):
+        primary = protocol.exact_fidelity_plane(aa, pp, pbit, pph)
+    elif mode == "mixed":
+        primary = protocol.mixed_input_fidelity_plane(aa, pp)
+    elif mode == "analytic":
+        primary = analytic
+    else:
+        primary = analytic = np.broadcast_to(protocol.baseline_fidelity_plane(aa, pp), shape)
+    averaged = np.empty(shape) if mode == "mc" else primary
+    lines = ["alpha2,phi,f_exact,f_analytic" + (",f_mc,mc_stderr" if mode == "mc" else "")]
+    for i, a2 in enumerate(alpha2s):
+        for j, phi in enumerate(phis):
+            fields = [a2, phi, primary[i, j], analytic[i, j]]
+            if mode == "mc":
+                rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
+                res = protocol.mc_estimate(make_pure(a2, phi), pbit, pph, trials, rng)
+                fields += [res.mean, res.stderr]
+                averaged[i, j] = res.mean
+            lines.append(",".join(format(float(x), ".12g") for x in fields))
+    average = protocol.grid_average(averaged, n_alpha, n_phi)
+    lines.append(f"# average={format(average, '.12g')}")
+    return "\n".join(lines) + "\n"
+
+
 class TestSweep:
+    # 11 and 3 alpha^2 rows are not multiples of the writer's block size,
+    # so the last block is partial.
+    @pytest.mark.parametrize("mode, n_alpha, n_phi, extra", [
+        ("exact", 11, 9, dict(pbit=0.3, pph=0.6)),
+        ("mixed", 11, 9, {}),
+        ("analytic", 11, 9, {}),
+        ("baseline", 11, 9, {}),
+        ("exact", 2, 1, {}),
+        ("mc", 11, 9, dict(pbit=0.2, pph=0.7, trials=50, seed=4)),
+        ("mc", 3, 2, dict(trials=200, seed=9)),
+    ])
+    def test_writer_contract(self, tmp_path, mode, n_alpha, n_phi, extra):
+        argv = ["sweep", "--mode", mode, "--grid-alpha", str(n_alpha),
+                "--grid-phi", str(n_phi)]
+        for key, value in extra.items():
+            argv += [f"--{key}", str(value)]
+        code, out, err = run_cli(argv + ["--out", "-"])
+        assert (code, err) == (0, "")
+        assert out == expected_sweep(mode, n_alpha, n_phi, **extra)
+        target = tmp_path / "sweep.csv"
+        code, stdout, _ = run_cli(argv + ["--out", str(target)])
+        assert (code, stdout) == (0, "")
+        assert target.read_bytes() == out.encode("ascii")
+
+    def test_unwritable_path_rejected_before_computing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated before the output was opened")
+
+        monkeypatch.setattr(protocol, "exact_fidelity_plane", fail)
+        code, _, err = run_cli(["sweep", "--grid-alpha", "501", "--grid-phi", "501",
+                                "--mode", "exact", "--out", "/nonexistent-dir/x.csv"])
+        assert code == 2
+        assert "cannot write" in err
+
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
                                 "--mode", "analytic", "--out", "-"])
