@@ -8,6 +8,7 @@ identical invocations produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 
@@ -28,6 +29,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -35,11 +50,29 @@ def _probability(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int, what: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{value} is not {what}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive count")
+
+
+def _alpha_count(text: str) -> int:
+    # the alpha^2 grid includes both endpoints 0 and 1
+    return _int_at_least(text, 2, "an alpha^2 grid size of at least 2")
+
+
+def _trial_count(text: str) -> int:
+    # one trial has no standard error, so its z-score is meaningless
+    return _int_at_least(text, 2, "a trial count of at least 2")
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0, "a non-negative seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="grid sweep of the fidelity surface, CSV output")
-    sweep.add_argument("--grid-alpha", type=_positive_int, default=201,
+    sweep.add_argument("--grid-alpha", type=_alpha_count, default=201,
                        help="number of alpha^2 points on [0, 1], endpoints included")
     sweep.add_argument("--grid-phi", type=_positive_int, default=201,
                        help="number of phase points on [0, 2pi), endpoint excluded")
@@ -60,22 +93,22 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pph", type=_probability, default=0.0, help="phase-flip probability")
     sweep.add_argument("--trials", type=_positive_int, default=1000,
                        help="Monte Carlo trajectories per grid point (mode=mc)")
-    sweep.add_argument("--seed", type=int, default=0, help="base seed for mode=mc")
+    sweep.add_argument("--seed", type=_seed, default=0, help="base seed for mode=mc")
     sweep.add_argument("--out", default="-", help="output path, or - for standard output")
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", type=_positive_float, default=None,
                         help="override tolerance for the deviation-based invariants")
-    verify.add_argument("--seed", type=int, default=0, help="seed for the randomized invariants")
+    verify.add_argument("--seed", type=_seed, default=0, help="seed for the randomized invariants")
     verify.add_argument("--swap-pauli-rule", action="store_true", help=argparse.SUPPRESS)
 
     mc = sub.add_parser("mc", help="Monte Carlo run at one state, checked against the exact value")
     mc.add_argument("--alpha2", type=_probability, default=1.0, help="population of |0>")
-    mc.add_argument("--phi", type=float, default=0.0, help="relative phase in radians")
+    mc.add_argument("--phi", type=_finite_float, default=0.0, help="relative phase in radians")
     mc.add_argument("--pbit", type=_probability, default=0.0, help="bit-flip probability")
     mc.add_argument("--pph", type=_probability, default=0.0, help="phase-flip probability")
-    mc.add_argument("--trials", type=_positive_int, default=100_000, help="number of trajectories")
-    mc.add_argument("--seed", type=int, default=0, help="random seed")
+    mc.add_argument("--trials", type=_trial_count, default=100_000, help="number of trajectories")
+    mc.add_argument("--seed", type=_seed, default=0, help="random seed")
     return parser
 
 
@@ -136,9 +169,6 @@ def _write_sweep(args, fh) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if args.grid_alpha < 2:
-        print("sweep: --grid-alpha must be at least 2", file=sys.stderr)
-        return 2
     try:
         with (nullcontext(sys.stdout) if args.out == "-"
               else open(args.out, "w", newline="")) as fh:
@@ -150,9 +180,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and args.tol <= 0.0:
-        print("verify: --tol must be positive", file=sys.stderr)
-        return 2
     report = run_checks(tol=args.tol, seed=args.seed, swapped=args.swap_pauli_rule)
     for line in report.lines():
         print(line)

@@ -178,10 +178,13 @@ class TestSweep:
         ["sweep", "--grid-alpha", "0"],
         ["sweep", "--trials", "-3"],
         ["bogus-command"],
+        ["sweep", "--mode", "mc", "--seed", "-1"],
+        ["sweep", "--pph", "nan"],
     ])
     def test_usage_errors(self, argv):
-        code, _, _ = run_cli(argv)
+        code, _, err = run_cli(argv)
         assert code == 2
+        assert "usage:" in err
 
     def test_grid_alpha_one_rejected(self):
         code, _, err = run_cli(["sweep", "--grid-alpha", "1", "--mode", "analytic"])
@@ -209,8 +212,15 @@ class TestVerify:
         assert identity_line and identity_line[0].startswith("FAIL")
 
     def test_negative_tolerance_rejected(self):
-        code, _, _ = run_cli(["verify", "--tol", "-1"])
+        for tol in ("-1", "0", "nan", "inf"):
+            code, _, err = run_cli(["verify", "--tol", tol])
+            assert code == 2, tol
+            assert "--tol" in err
+
+    def test_negative_seed_rejected(self):
+        code, _, err = run_cli(["verify", "--seed", "-1"])
         assert code == 2
+        assert "--seed" in err
 
 
 class TestMc:
@@ -239,5 +249,8 @@ class TestMc:
         assert out1 == out2
 
     def test_usage_error(self):
-        code, _, _ = run_cli(["mc", "--alpha2", "2.0"])
-        assert code == 2
+        for argv in (["--alpha2", "2.0"], ["--phi", "nan"], ["--phi", "inf"],
+                     ["--seed", "-1"], ["--trials", "1"]):
+            code, out, err = run_cli(["mc"] + argv)
+            assert code == 2, argv
+            assert out == "" and f"argument {argv[0]}" in err
