@@ -24,12 +24,6 @@ def det2(a: np.ndarray) -> complex:
     return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
 
 
-def inv2(a: np.ndarray) -> np.ndarray:
-    """Inverse via the adjugate. Caller guarantees invertibility."""
-    d = det2(a)
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / d
-
-
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt distance: (Tr[(a-b)^dag (a-b)])^(1/2)."""
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
@@ -80,11 +74,17 @@ def polar_decompose(e: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.nd
     factor is not unique there and the protocol never produces one.
     """
     e = np.asarray(e, dtype=complex)
-    if abs(det2(e)) <= tol:
+    det = det2(e)
+    if abs(det) <= tol:
         raise ValueError("degenerate input: polar decomposition requires an invertible matrix")
-    p = sqrtm_psd(dagger(e) @ e)
-    u = e @ inv2(p)
-    return u, p
+    # With singular values s1, s2: |det e| (e^-1)^dag = (det e/|det e|) adj(e)^dag,
+    # e + |det e| (e^-1)^dag = (s1 + s2) u and (s1 + s2)^2 = |e|_F^2 + 2 |det e|.
+    # Unlike e @ inv(p), nothing is inverted, so u stays unitary to
+    # rounding when e is ill-conditioned.
+    adj_dag = np.array([[e[1, 1], -e[1, 0]], [-e[0, 1], e[0, 0]]]).conj()
+    u = (e + (det / abs(det)) * adj_dag) / np.sqrt(np.sum(np.abs(e) ** 2) + 2.0 * abs(det))
+    h = dagger(u) @ e
+    return u, 0.5 * (h + dagger(h))
 
 
 def nearest_unitary(e: np.ndarray, tol: float = ATOL) -> np.ndarray:

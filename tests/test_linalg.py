@@ -111,6 +111,18 @@ class TestPolarDecompose:
             assert is_psd(p, 1e-12)
             assert np.max(np.abs(u @ p - e)) < 1e-12
 
+    def test_verify_seed_318_matrices(self):
+        # the draws of verify's polar-decomposition-roundtrip check at
+        # --seed 318 (check index 2); u^dag u - I reached 3.95e-12 when u
+        # was computed as e @ inv(p)
+        rng = np.random.default_rng(np.random.SeedSequence((318, 2)))
+        for _ in range(1000):
+            e = random_invertible(rng)
+            u, p = polar_decompose(e)
+            assert np.max(np.abs(dagger(u) @ u - I2)) <= 1e-12
+            assert np.max(np.abs(u @ p - e)) <= 1e-12
+            assert np.max(np.abs(p - dagger(p))) <= 1e-12
+
 
 class TestNearestUnitary:
     def test_first_element(self):
