@@ -86,16 +86,6 @@ class TestSweep:
         assert (code, stdout) == (0, "")
         assert target.read_bytes() == out.encode("ascii")
 
-    def test_unwritable_path_rejected_before_computing(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the sweep was evaluated before the output was opened")
-
-        monkeypatch.setattr(protocol, "exact_fidelity_plane", fail)
-        code, _, err = run_cli(["sweep", "--grid-alpha", "501", "--grid-phi", "501",
-                                "--mode", "exact", "--out", "/nonexistent-dir/x.csv"])
-        assert code == 2
-        assert "cannot write" in err
-
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
                                 "--mode", "analytic", "--out", "-"])
@@ -142,9 +132,14 @@ class TestSweep:
         assert len(rows) == 6
         assert text.endswith("\n") and "\r" not in text
 
-    def test_unwritable_path(self):
-        code, _, err = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "1",
-                                "--mode", "analytic", "--out", "/nonexistent-dir/x.csv"])
+    def test_unwritable_path(self, monkeypatch):
+        # the output is opened before anything is evaluated
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated before the output was opened")
+
+        monkeypatch.setattr(protocol, "exact_fidelity_plane", fail)
+        code, _, err = run_cli(["sweep", "--grid-alpha", "501", "--grid-phi", "501",
+                                "--mode", "exact", "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
         assert "cannot write" in err
 
