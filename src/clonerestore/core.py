@@ -233,13 +233,13 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return np.einsum("aij,jk,alk->il", ch.elements, rho, ch.elements.conj())
 
 
-def sample_element(ch: KrausChannel, psi: PureQubit,
-                   rng: np.random.Generator) -> tuple[int, PureQubit]:
-    """Sample one operation element acting on a pure state.
+def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """Sample ``size`` independent operation-element indices for one state.
 
-    Element i is drawn with probability <psi|E_i^dag E_i|psi>; the
-    returned state is E_i|psi> renormalized into canonical gauge.
-    Deterministic for a fixed generator state.
+    Element i is drawn with probability <psi|E_i^dag E_i|psi>, one
+    ``rng.random()`` double per draw. Deterministic for a fixed generator
+    state, and equal to ``size`` successive ``sample_element`` indices.
     """
     v = psi.vector
     probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
@@ -247,7 +247,16 @@ def sample_element(ch: KrausChannel, psi: PureQubit,
     total = probs.sum()
     if total <= 0.0:
         raise RuntimeError("all operation elements have zero probability")
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
-    idx = min(idx, len(ch) - 1)
-    w = ch.elements[idx] @ v
-    return idx, PureQubit.from_vector(w)
+    idx = np.searchsorted(np.cumsum(probs), rng.random(size) * total, side="right")
+    return np.minimum(idx, len(ch) - 1)
+
+
+def sample_element(ch: KrausChannel, psi: PureQubit,
+                   rng: np.random.Generator) -> tuple[int, PureQubit]:
+    """Sample one operation element acting on a pure state.
+
+    The index is one ``sample_elements`` draw; the returned state is
+    E_i|psi> renormalized into canonical gauge.
+    """
+    idx = int(sample_elements(ch, psi, rng, 1)[0])
+    return idx, PureQubit.from_vector(ch.elements[idx] @ psi.vector)

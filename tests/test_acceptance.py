@@ -16,7 +16,7 @@ from clonerestore.cloning import (
     reversed_fidelity_plane,
     uqcm_output,
 )
-from clonerestore.core import ErrorType, fidelity, make_pure, reduce_qubit, sample_element
+from clonerestore.core import ErrorType, fidelity, make_pure, reduce_qubit, sample_elements
 from clonerestore.linalg import dagger, haar_random_unitary, hs_distance, nearest_unitary
 from clonerestore.protocol import (
     alpha2_grid,
@@ -205,10 +205,7 @@ def test_criterion_11_measurement_statistics():
     n = 100_000
     rng = np.random.default_rng(111)
     est = estimation_elements()
-    counts = np.zeros(4)
-    for _ in range(n):
-        idx, _ = sample_element(est.kraus, KET0, rng)
-        counts[idx] += 1
+    counts = np.bincount(sample_elements(est.kraus, KET0, rng, n), minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
     sigma = np.sqrt(probs * (1 - probs) / n)
     max_z = float(np.max(np.abs(counts / n - probs) / sigma))

@@ -19,6 +19,7 @@ from clonerestore.core import (
     make_pure,
     reduce_qubit,
     sample_element,
+    sample_elements,
     state_vector,
 )
 
@@ -261,6 +262,16 @@ class TestSampleElement:
         idx, out = sample_element(ch, psi, rng)
         w = ch.elements[idx] @ psi.vector
         np.testing.assert_allclose(out.vector, PureQubit.from_vector(w).vector, atol=1e-14)
+
+
+    @pytest.mark.parametrize("ch", [estimation_elements().kraus, error_channel(0.3, 0.6)])
+    def test_batched_matches_scalar(self, ch):
+        psi = make_pure(0.7, 0.9)
+        batched_rng, scalar_rng = np.random.default_rng(21), np.random.default_rng(21)
+        batched = sample_elements(ch, psi, batched_rng, 1000)
+        scalar = [sample_element(ch, psi, scalar_rng)[0] for _ in range(1000)]
+        np.testing.assert_array_equal(batched, scalar)
+        assert batched_rng.random() == scalar_rng.random()
 
 
 class TestReduceQubit:
