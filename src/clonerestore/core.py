@@ -100,16 +100,28 @@ def make_pure(alpha2: float, phi: float) -> PureQubit:
     return PureQubit(np.sqrt(alpha2), np.sqrt(1.0 - alpha2), phi)
 
 
+def _check_plane(alpha2, phi=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Validate state-plane coordinates; returns them as float arrays.
+
+    Every alpha2 must lie in [0, 1] and every phi must be finite; NaN
+    fails both tests. Raises ValueError otherwise.
+    """
+    alpha2 = np.asarray(alpha2, dtype=float)
+    if not np.all((alpha2 >= 0.0) & (alpha2 <= 1.0)):
+        raise ValueError("alpha2 must lie in [0, 1]")
+    if phi is not None:
+        phi = np.asarray(phi, dtype=float)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi must be finite")
+    return alpha2, phi
+
+
 def state_vector(alpha2, phi) -> np.ndarray:
     """Amplitude vectors for (alpha2, phi); broadcasts over array input.
 
     Returns an array of shape broadcast(alpha2, phi) + (2,).
     """
-    alpha2 = np.asarray(alpha2, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(alpha2 < 0.0) or np.any(alpha2 > 1.0):
-        raise ValueError("alpha2 must lie in [0, 1]")
-    a, ph = np.broadcast_arrays(alpha2, phi)
+    a, ph = np.broadcast_arrays(*_check_plane(alpha2, phi))
     return np.stack([np.sqrt(a) + 0j, np.sqrt(1.0 - a) * np.exp(1j * ph)], axis=-1)
 
 

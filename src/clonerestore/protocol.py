@@ -28,6 +28,7 @@ from .core import (
     ErrorType,
     PureQubit,
     _cached_error_channel,
+    _check_plane,
     error_probabilities,
     sample_element,
     state_vector,
@@ -130,10 +131,7 @@ def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0,
 
 def analytic_fidelity(alpha2, phi) -> np.ndarray | float:
     """Closed-form protocol fidelity surface; broadcasts over arrays."""
-    alpha2 = np.asarray(alpha2, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(alpha2 < 0.0) or np.any(alpha2 > 1.0):
-        raise ValueError("alpha2 must lie in [0, 1]")
+    alpha2, phi = _check_plane(alpha2, phi)
     beta2 = 1.0 - alpha2
     out = (5.0 - 2.0 * alpha2 + 2.0 * alpha2 ** 2) / 9.0 \
         + (8.0 / 9.0) * alpha2 * beta2 * np.cos(phi) ** 2
@@ -194,12 +192,10 @@ def baseline_direct_fidelity(psi: PureQubit) -> float:
 
 def baseline_fidelity_plane(alpha2, phi=None) -> np.ndarray | float:
     """Vectorized baseline fidelity; the phase argument is ignored."""
-    alpha2 = np.asarray(alpha2, dtype=float)
-    if np.any(alpha2 < 0.0) or np.any(alpha2 > 1.0):
-        raise ValueError("alpha2 must lie in [0, 1]")
+    alpha2, phi = _check_plane(alpha2, phi)
     out = alpha2 ** 2 + (1.0 - alpha2) ** 2
     if phi is not None:
-        out = np.broadcast_arrays(out, np.asarray(phi, dtype=float))[0].copy()
+        out = np.broadcast_arrays(out, phi)[0].copy()
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,16 +227,19 @@ def plane_average(f, n_alpha: int = 201, n_phi: int = 201) -> float:
     alpha2 is integrated over [0, 1] by the trapezoid rule (endpoints
     included), phi by the uniform rule on [0, 2*pi) (endpoint excluded,
     exact for trigonometric polynomials). f is evaluated on the full
-    meshgrid at once when it broadcasts, pointwise otherwise.
+    meshgrid at once when it broadcasts, and pointwise when that call
+    raises TypeError or returns the wrong shape. Any other exception from
+    f propagates, so an f that branches on its scalar arguments (and so
+    raises ValueError on arrays) must be wrapped in ``np.vectorize``.
     """
     a = alpha2_grid(n_alpha)
     p = phi_grid(n_phi)
     aa, pp = np.meshgrid(a, p, indexing="ij")
     try:
         values = np.asarray(f(aa, pp), dtype=float)
-        if values.shape != aa.shape:
-            raise ValueError
-    except Exception:
+    except TypeError:
+        values = None
+    if values is None or values.shape != aa.shape:
         values = np.array([[float(f(ai, pj)) for pj in p] for ai in a])
     return grid_average(values, n_alpha, n_phi)
 

@@ -365,8 +365,8 @@ def run_checks(tol: float | None = None, seed: int = 0, swapped: bool = False) -
     runs the protocol checks with the exchanged Pauli correction rule,
     which a correct suite must flag.
     """
-    if tol is not None and tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if tol is not None and not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     results = []
     for name, fn, default_tol, statistical in _CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, len(results))))

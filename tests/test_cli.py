@@ -7,6 +7,7 @@ import pytest
 from clonerestore import protocol
 from clonerestore.cli import main
 from clonerestore.core import make_pure
+from clonerestore.verify import run_checks
 
 
 def run_cli(argv):
@@ -211,6 +212,8 @@ class TestVerify:
             code, _, err = run_cli(["verify", "--tol", tol])
             assert code == 2, tol
             assert "--tol" in err
+            with pytest.raises(ValueError, match="tol"):
+                run_checks(tol=float(tol))
 
     def test_negative_seed_rejected(self):
         code, _, err = run_cli(["verify", "--seed", "-1"])

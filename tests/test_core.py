@@ -115,8 +115,10 @@ class TestStateVector:
             np.testing.assert_allclose(v[i], make_pure(a2[i], phi[i]).vector, atol=1e-15)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            state_vector([0.5, 1.5], 0.0)
+        for alpha2, phi in [([0.5, 1.5], 0.0), (np.nan, 0.0), ([0.5, np.nan], 0.0),
+                            (0.5, np.inf), (0.5, [0.0, np.nan])]:
+            with pytest.raises(ValueError):
+                state_vector(alpha2, phi)
 
 
 class TestFidelity:
@@ -262,7 +264,6 @@ class TestSampleElement:
         idx, out = sample_element(ch, psi, rng)
         w = ch.elements[idx] @ psi.vector
         np.testing.assert_allclose(out.vector, PureQubit.from_vector(w).vector, atol=1e-14)
-
 
     @pytest.mark.parametrize("ch", [estimation_elements().kraus, error_channel(0.3, 0.6)])
     def test_batched_matches_scalar(self, ch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clonerestore.cloning import Outcome
+from clonerestore.cloning import Outcome, reversed_fidelity_plane
 from clonerestore.core import ErrorType, PureQubit, make_pure
 from clonerestore.protocol import (
     MCResult,
@@ -169,8 +169,17 @@ class TestAnalyticFidelity:
         assert analytic_fidelity(alpha2, phi) == pytest.approx(expected, abs=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            analytic_fidelity(1.5, 0.0)
+        # NaN fails every range comparison, so it needs its own rejection
+        for f, args in [
+            (analytic_fidelity, (1.5, 0.0)),
+            (analytic_fidelity, (np.nan, 0.0)),
+            (analytic_fidelity, (0.5, np.inf)),
+            (baseline_fidelity_plane, (np.nan,)),
+            (reversed_fidelity_plane, (np.nan, 0.0)),
+            (exact_fidelity_plane, ([0.5, np.nan], 0.0)),
+        ]:
+            with pytest.raises(ValueError):
+                f(*args)
 
     def test_matches_exact_on_grid(self):
         aa = alpha2_grid(41)[:, None]
@@ -222,6 +231,17 @@ class TestPlaneAverage:
         scalar_only = lambda a2, phi: float(analytic_fidelity(float(a2), float(phi)))
         assert plane_average(scalar_only, 21, 11) == pytest.approx(
             plane_average(analytic_fidelity, 21, 11), abs=1e-14)
+
+    def test_errors_from_f_propagate(self):
+        calls = []
+
+        def broken(a2, phi):
+            calls.append(a2)
+            raise ValueError("broken")
+
+        with pytest.raises(ValueError, match="broken"):
+            plane_average(broken, 21, 11)
+        assert len(calls) == 1
 
     def test_grid_bounds(self):
         with pytest.raises(ValueError):
