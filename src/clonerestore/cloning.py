@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import KrausChannel, PureQubit, make_pure, state_vector
+from .core import KrausChannel, PureQubit, _read_only, make_pure, state_vector
 from .linalg import ATOL, dagger, is_psd, is_unitary, nearest_unitary
 
 _C_MAJOR = np.sqrt(2.0 / 3.0)   # weight of the copied component
@@ -118,15 +118,15 @@ class EstimationChannel:
     reversal_unitaries: np.ndarray
 
     def __post_init__(self):
-        reversals = np.asarray(self.reversal_unitaries, dtype=complex)
+        reversals = np.array(self.reversal_unitaries, dtype=complex)
         sqrt_effects = np.einsum("aji,ajk->aik", reversals.conj(), self.kraus.elements)
         for i in range(len(self.kraus)):
             if not is_unitary(reversals[i], ATOL):
                 raise ValueError(f"reversal matrix {i} is not unitary")
             if not is_psd(sqrt_effects[i], ATOL):
                 raise ValueError(f"reversal {i} does not leave a PSD factor")
-        object.__setattr__(self, "reversal_unitaries", reversals)
-        object.__setattr__(self, "sqrt_effects", sqrt_effects)
+        object.__setattr__(self, "reversal_unitaries", _read_only(reversals))
+        object.__setattr__(self, "sqrt_effects", _read_only(sqrt_effects))
 
     @property
     def elements(self) -> np.ndarray:

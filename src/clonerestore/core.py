@@ -21,10 +21,17 @@ GAUGE_ATOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-MAXIMALLY_MIXED = np.eye(2, dtype=complex) / 2.0
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a shared array read-only, so an in-place write raises ValueError."""
+    a.flags.writeable = False
+    return a
+
+
+PAULI_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+
+MAXIMALLY_MIXED = _read_only(np.eye(2, dtype=complex) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -173,12 +180,7 @@ class ErrorType(IntEnum):
         return _ERROR_OPERATORS[self]
 
 
-_ERROR_OPERATORS = (
-    np.eye(2, dtype=complex),
-    PAULI_X,
-    PAULI_Z,
-    PAULI_X @ PAULI_Z,
-)
+_ERROR_OPERATORS = _read_only(np.stack([np.eye(2), PAULI_X, PAULI_Z, PAULI_X @ PAULI_Z]))
 
 
 def error_probabilities(p_bit: float, p_ph: float) -> np.ndarray:
@@ -204,20 +206,21 @@ class KrausChannel:
 
     ``effects`` caches the POVM effects E_i^dag E_i used for outcome
     probabilities. Completeness (sum of effects = identity) is checked
-    on construction.
+    on construction; the elements are copied and both arrays are
+    read-only, so the check stays true.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        elements = np.asarray(self.elements, dtype=complex)
+        elements = np.array(self.elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1:] != (2, 2):
             raise ValueError("elements must have shape (k, 2, 2)")
         effects = np.einsum("aji,ajk->aik", elements.conj(), elements)
         if np.max(np.abs(effects.sum(axis=0) - np.eye(2))) > ATOL:
             raise ValueError("operation elements violate completeness")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "elements", _read_only(elements))
+        object.__setattr__(self, "effects", _read_only(effects))
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -230,7 +233,7 @@ def error_channel(p_bit: float, p_ph: float) -> KrausChannel:
     for the four ErrorType branches.
     """
     probs = error_probabilities(p_bit, p_ph)
-    elements = np.sqrt(probs)[:, None, None] * np.stack(_ERROR_OPERATORS)
+    elements = np.sqrt(probs)[:, None, None] * _ERROR_OPERATORS
     return KrausChannel(elements)
 
 

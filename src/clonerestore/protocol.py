@@ -24,37 +24,35 @@ from .cloning import (
     reverse,
 )
 from .core import (
+    _ERROR_OPERATORS,
     MAXIMALLY_MIXED,
     ErrorType,
     PureQubit,
     _cached_error_channel,
     _check_plane,
+    _read_only,
     error_probabilities,
     sample_element,
     state_vector,
 )
 from .linalg import dagger
 
-_PAULI_OPS = np.stack([e.operator for e in ErrorType])
 
-
-def correction_unitary(alice: Outcome, bob: Outcome, *, swapped: bool = False) -> np.ndarray:
+def correction_unitary(alice: Outcome, bob: Outcome) -> np.ndarray:
     """Receiver's Pauli correction from comparing the two outcomes.
 
     Disagreement in the third-qubit bit contributes sigma_x, in the
     second-qubit sign sigma_z, both together their product, agreement
-    the identity. ``swapped`` exchanges the two assignments; it exists
-    only as a self-test hook for the verification suite.
+    the identity. Every protocol route looks this function up as a
+    module global, so it alone decides the correction.
     """
     bit_differs = alice.bit != bob.bit
     sign_differs = alice.sign != bob.sign
-    if swapped:
-        bit_differs, sign_differs = sign_differs, bit_differs
-    return _PAULI_OPS[ErrorType(int(bit_differs) + 2 * int(sign_differs))]
+    return _ERROR_OPERATORS[ErrorType(int(bit_differs) + 2 * int(sign_differs))]
 
 
 def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
-                      bob: Outcome, *, swapped: bool = False) -> tuple[float, PureQubit]:
+                      bob: Outcome) -> tuple[float, PureQubit]:
     """One protocol branch: Bob's outcome probability and the final state.
 
     Conditions on Alice's outcome and the channel error: the sender
@@ -67,12 +65,11 @@ def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
     w = error.operator @ after_alice.vector
     prob = float(np.real(np.vdot(w, est.effects[bob] @ w)))
     u = est.elements[bob] @ w
-    final = correction_unitary(alice, bob, swapped=swapped) @ (dagger(est.reversal_unitaries[bob]) @ u)
+    final = correction_unitary(alice, bob) @ (dagger(est.reversal_unitaries[bob]) @ u)
     return prob, PureQubit.from_vector(final)
 
 
-def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0,
-                   *, swapped: bool = False) -> float:
+def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0) -> float:
     """Input-output fidelity by full enumeration of all 64 branches.
 
     Weights each (alice outcome, error, bob outcome) branch by its joint
@@ -88,14 +85,14 @@ def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0,
             if perr[error] == 0.0:
                 continue
             for bob in Outcome:
-                p_b, final = branch_statistics(psi, alice, error, bob, swapped=swapped)
+                p_b, final = branch_statistics(psi, alice, error, bob)
                 overlap = abs(np.vdot(v, final.vector)) ** 2
                 total += p_a * perr[error] * p_b * overlap
     return total
 
 
-@lru_cache(maxsize=2)
-def _branch_bank(swapped: bool = False) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _branch_bank() -> np.ndarray:
     """Stacked branch operators M[a, e, b] = C U_b^dag E_b P_e S_a.
 
     S_a is the Hermitian factor left after the sender's reversal, P_e
@@ -110,20 +107,19 @@ def _branch_bank(swapped: bool = False) -> np.ndarray:
         for error in ErrorType:
             for bob in Outcome:
                 bank[alice, error, bob] = (
-                    correction_unitary(alice, bob, swapped=swapped)
+                    correction_unitary(alice, bob)
                     @ dagger(est.reversal_unitaries[bob])
                     @ est.elements[bob]
                     @ error.operator
                     @ est.sqrt_effects[alice]
                 )
-    return bank
+    return _read_only(bank)
 
 
-def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0,
-                         *, swapped: bool = False) -> np.ndarray:
+def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> np.ndarray:
     """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays."""
     v = state_vector(alpha2, phi)
-    bank = _branch_bank(swapped)
+    bank = _branch_bank()
     amps = np.einsum("...i,aebij,...j->...aeb", v.conj(), bank, v)
     per_error = np.sum(np.abs(amps) ** 2, axis=(-3, -1))
     return per_error @ error_probabilities(p_bit, p_ph)
@@ -138,7 +134,7 @@ def analytic_fidelity(alpha2, phi) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def mixed_input_fidelity(psi: PureQubit, *, swapped: bool = False) -> float:
+def mixed_input_fidelity(psi: PureQubit) -> float:
     """Fidelity when the receiver gets the maximally mixed state instead.
 
     The sender branch only fixes the outcome record used for the
@@ -151,31 +147,30 @@ def mixed_input_fidelity(psi: PureQubit, *, swapped: bool = False) -> float:
     for alice in Outcome:
         p_a = outcome_probability(psi, alice)
         for bob in Outcome:
-            op = correction_unitary(alice, bob, swapped=swapped) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
+            op = correction_unitary(alice, bob) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
             rho = op @ MAXIMALLY_MIXED @ dagger(op)
             total += p_a * float(np.real(np.vdot(v, rho @ v)))
     return total
 
 
-@lru_cache(maxsize=2)
-def _receiver_gram_bank(swapped: bool = False) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _receiver_gram_bank() -> np.ndarray:
     """G[a, b] = N N^dag for the receiver branch operator N = C U_b^dag E_b."""
     est = estimation_elements()
     bank = np.empty((4, 4, 2, 2), dtype=complex)
     for alice in Outcome:
         for bob in Outcome:
-            n = correction_unitary(alice, bob, swapped=swapped) \
-                @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
+            n = correction_unitary(alice, bob) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
             bank[alice, bob] = n @ dagger(n)
-    return bank
+    return _read_only(bank)
 
 
-def mixed_input_fidelity_plane(alpha2, phi, *, swapped: bool = False) -> np.ndarray:
+def mixed_input_fidelity_plane(alpha2, phi) -> np.ndarray:
     """Vectorized ``mixed_input_fidelity`` over broadcast arrays."""
     v = state_vector(alpha2, phi)
     effects = estimation_elements().effects
     p_alice = np.einsum("...i,aij,...j->...a", v.conj(), effects, v).real
-    gram = _receiver_gram_bank(swapped)
+    gram = _receiver_gram_bank()
     vals = np.einsum("...i,abij,...j->...ab", v.conj(), gram, v).real
     return 0.5 * np.einsum("...a,...ab->...", p_alice, vals)
 
@@ -215,6 +210,10 @@ def phi_grid(n_phi: int) -> np.ndarray:
 
 def grid_average(values: np.ndarray, n_alpha: int, n_phi: int) -> float:
     """Average grid values with trapezoid weights in alpha2, uniform in phi."""
+    if n_alpha < 2:
+        raise ValueError("n_alpha must be at least 2")
+    if n_phi < 1:
+        raise ValueError("n_phi must be at least 1")
     values = np.asarray(values, dtype=float).reshape(n_alpha, n_phi)
     w = np.ones(n_alpha)
     w[0] = w[-1] = 0.5
@@ -265,7 +264,7 @@ class MCResult:
 
 
 def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
-                   rng: np.random.Generator, *, swapped: bool = False) -> TrajectoryRecord:
+                   rng: np.random.Generator) -> TrajectoryRecord:
     """Sample one protocol run: outcomes, error, correction, overlap."""
     est = estimation_elements()
     a_idx, after_meas = sample_element(est.kraus, psi, rng)
@@ -275,14 +274,13 @@ def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
     error = ErrorType(e_idx)
     b_idx, after_bob = sample_element(est.kraus, received, rng)
     bob = Outcome(b_idx)
-    final = PureQubit.from_vector(
-        correction_unitary(alice, bob, swapped=swapped) @ reverse(after_bob, bob).vector)
+    final = PureQubit.from_vector(correction_unitary(alice, bob) @ reverse(after_bob, bob).vector)
     overlap = abs(np.vdot(psi.vector, final.vector)) ** 2
     return TrajectoryRecord(alice, error, bob, final, overlap)
 
 
 def mc_estimate(psi: PureQubit, p_bit: float, p_ph: float, trials: int,
-                rng: np.random.Generator, *, swapped: bool = False) -> MCResult:
+                rng: np.random.Generator) -> MCResult:
     """Monte Carlo mean and standard error of the trajectory overlap.
 
     Samples the same (alice, error, bob) chain as ``run_trajectory``,
@@ -292,7 +290,7 @@ def mc_estimate(psi: PureQubit, p_bit: float, p_ph: float, trials: int,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     v = psi.vector
-    bank = _branch_bank(swapped)
+    bank = _branch_bank()
     amps = np.einsum("aebij,j->aebi", bank, v)
     # joint weight (given error) and overlap per branch
     norms2 = np.sum(np.abs(amps) ** 2, axis=-1)

@@ -75,7 +75,7 @@ def _random_states(rng: np.random.Generator, n: int) -> list[core.PureQubit]:
     return [core.make_pure(rng.random(), rng.random() * 2 * np.pi) for _ in range(n)]
 
 
-def _check_reversal_set(rng, swapped):
+def _check_reversal_set(rng):
     est = cloning.estimation_elements()
     return max(
         _phase_aligned_deviation(linalg.dagger(est.reversal_unitaries[i]), _REVERSAL_ADJOINTS[i])
@@ -83,7 +83,7 @@ def _check_reversal_set(rng, swapped):
     )
 
 
-def _check_minimality(rng, swapped):
+def _check_minimality(rng):
     est = cloning.estimation_elements()
     worst = 0.0
     for i in range(4):
@@ -94,7 +94,7 @@ def _check_minimality(rng, swapped):
     return max(worst, 0.0)
 
 
-def _check_polar_roundtrip(rng, swapped):
+def _check_polar_roundtrip(rng):
     worst = 0.0
     for _ in range(1000):
         e = linalg.random_invertible(rng)
@@ -108,7 +108,7 @@ def _check_polar_roundtrip(rng, swapped):
     return worst
 
 
-def _check_reversal_psd(rng, swapped):
+def _check_reversal_psd(rng):
     est = cloning.estimation_elements()
     worst = 0.0
     for i in range(4):
@@ -121,7 +121,7 @@ def _check_reversal_psd(rng, swapped):
     return worst
 
 
-def _check_completeness(rng, swapped):
+def _check_completeness(rng):
     worst = 0.0
     eye = np.eye(2)
     for _ in range(100):
@@ -131,7 +131,7 @@ def _check_completeness(rng, swapped):
     return max(worst, float(np.max(np.abs(est.effects.sum(axis=0) - eye))))
 
 
-def _check_channel_density(rng, swapped):
+def _check_channel_density(rng):
     worst = 0.0
     channels = [core.error_channel(rng.random(), rng.random()) for _ in range(5)]
     channels.append(cloning.estimation_elements().kraus)
@@ -149,7 +149,7 @@ def _check_channel_density(rng, swapped):
     return worst
 
 
-def _check_sampling_frequencies(rng, swapped):
+def _check_sampling_frequencies(rng):
     n = 100_000
     psi = core.make_pure(1.0, 0.0)
     est = cloning.estimation_elements()
@@ -159,7 +159,7 @@ def _check_sampling_frequencies(rng, swapped):
     return float(np.max(np.abs(counts / n - probs) / sigma))
 
 
-def _check_gauge_roundtrip(rng, swapped):
+def _check_gauge_roundtrip(rng):
     worst = 0.0
     for _ in range(500):
         alpha2 = rng.uniform(0.0, 0.999)
@@ -170,12 +170,12 @@ def _check_gauge_roundtrip(rng, swapped):
     return worst
 
 
-def _check_projective_construction(rng, swapped):
+def _check_projective_construction(rng):
     est = cloning.estimation_elements()
     return float(np.max(np.abs(cloning.elements_from_cloner() - est.elements)))
 
 
-def _check_clone_symmetry(rng, swapped):
+def _check_clone_symmetry(rng):
     # the two clones are the signal qubit and qubit 2; qubit 3 is the ancilla
     worst = 0.0
     for psi in _random_states(rng, 200):
@@ -191,7 +191,7 @@ def _check_clone_symmetry(rng, swapped):
     return worst
 
 
-def _check_outcome_marginals(rng, swapped):
+def _check_outcome_marginals(rng):
     a2 = protocol.alpha2_grid(51)
     ph = protocol.phi_grid(51)
     aa, pp = np.meshgrid(a2, ph, indexing="ij")
@@ -211,7 +211,7 @@ def _check_outcome_marginals(rng, swapped):
     )
 
 
-def _check_stored_reversals(rng, swapped):
+def _check_stored_reversals(rng):
     est = cloning.estimation_elements()
     return float(
         max(
@@ -221,13 +221,13 @@ def _check_stored_reversals(rng, swapped):
     )
 
 
-def _check_reversal_floor(rng, swapped):
+def _check_reversal_floor(rng):
     surface = cloning.reversed_fidelity_plane(
         protocol.alpha2_grid(101)[:, None], protocol.phi_grid(101)[None, :])
     return max(float(np.max(5 / 6 - surface)), 0.0)
 
 
-def _check_quadrant_preservation(rng, swapped):
+def _check_quadrant_preservation(rng):
     worst = 0.0
     for a2 in protocol.alpha2_grid(41):
         if not 0.5 < a2 < 1.0:
@@ -240,56 +240,56 @@ def _check_quadrant_preservation(rng, swapped):
     return max(worst, 0.0)
 
 
-def _check_error_rate_independence(rng, swapped):
+def _check_error_rate_independence(rng):
     aa, pp = np.meshgrid(np.linspace(0.0, 1.0, 5), 2 * np.pi * np.arange(5) / 5, indexing="ij")
     pairs = [(rng.random(), rng.random()) for _ in range(10)]
-    ref = protocol.exact_fidelity_plane(aa, pp, swapped=swapped)
+    ref = protocol.exact_fidelity_plane(aa, pp)
     worst = 0.0
     for p_bit, p_ph in pairs:
-        f = protocol.exact_fidelity_plane(aa, pp, p_bit, p_ph, swapped=swapped)
+        f = protocol.exact_fidelity_plane(aa, pp, p_bit, p_ph)
         worst = max(worst, float(np.max(np.abs(f - ref))))
     # the 64-branch enumeration is the reference route; at a nonzero rate
     # pair all 64 branches contribute
     for a2, ph, f in zip(aa.ravel(), pp.ravel(), ref.ravel()):
-        scalar = protocol.exact_fidelity(core.make_pure(a2, ph), *pairs[0], swapped=swapped)
+        scalar = protocol.exact_fidelity(core.make_pure(a2, ph), *pairs[0])
         worst = max(worst, abs(scalar - f))
     return worst
 
 
-def _grid_surfaces(swapped):
+def _grid_surfaces():
     aa = protocol.alpha2_grid(101)[:, None]
     pp = protocol.phi_grid(101)[None, :]
-    exact = protocol.exact_fidelity_plane(aa, pp, swapped=swapped)
-    mixed = protocol.mixed_input_fidelity_plane(aa, pp, swapped=swapped)
+    exact = protocol.exact_fidelity_plane(aa, pp)
+    mixed = protocol.mixed_input_fidelity_plane(aa, pp)
     analytic = protocol.analytic_fidelity(aa, pp)
     return exact, mixed, analytic
 
 
-def _check_triple_agreement(rng, swapped):
-    exact, mixed, analytic = _grid_surfaces(swapped)
+def _check_triple_agreement(rng):
+    exact, mixed, analytic = _grid_surfaces()
     return float(max(np.max(np.abs(exact - analytic)), np.max(np.abs(exact - mixed))))
 
 
-def _check_outcome_agreement_identities(rng, swapped):
+def _check_outcome_agreement_identities(rng):
     worst = 0.0
     pairs = [(core.ErrorType(i), cloning.Outcome(i)) for i in range(4)]
     for psi in _random_states(rng, 100):
-        stats = [protocol.branch_statistics(psi, cloning.Outcome.PLUS_0, err, bob, swapped=swapped)
+        stats = [protocol.branch_statistics(psi, cloning.Outcome.PLUS_0, err, bob)
                  for err, bob in pairs]
         p0, s0 = stats[0]
         for p, s in stats[1:]:
             worst = max(worst, abs(p - p0), float(np.max(np.abs(s.vector - s0.vector))))
     p_spot, _ = protocol.branch_statistics(
         core.make_pure(1.0, 0.0), cloning.Outcome.PLUS_0, core.ErrorType.NO_ERROR,
-        cloning.Outcome.PLUS_0, swapped=swapped)
+        cloning.Outcome.PLUS_0)
     return max(worst, abs(p_spot - 5 / 12))
 
 
-def _check_fidelity_floor(rng, swapped):
-    exact, _, _ = _grid_surfaces(swapped)
+def _check_fidelity_floor(rng):
+    exact, _, _ = _grid_surfaces()
     worst = max(float(np.max(0.5 - exact)), 0.0)
     for a2, phi in _EXCEPTION_POINTS:
-        worst = max(worst, abs(protocol.exact_fidelity(core.make_pure(a2, phi), swapped=swapped) - 0.5))
+        worst = max(worst, abs(protocol.exact_fidelity(core.make_pure(a2, phi)) - 0.5))
     # strictness: away from the exception points the floor is never attained
     aa = protocol.alpha2_grid(101)[:, None]
     pp = protocol.phi_grid(101)[None, :]
@@ -302,21 +302,20 @@ def _check_fidelity_floor(rng, swapped):
     return worst
 
 
-def _check_plane_averages(rng, swapped):
-    avg_protocol = protocol.plane_average(
-        lambda a2, ph: protocol.exact_fidelity_plane(a2, ph, swapped=swapped), 201, 201)
+def _check_plane_averages(rng):
+    avg_protocol = protocol.plane_average(protocol.exact_fidelity_plane, 201, 201)
     avg_baseline = protocol.plane_average(protocol.baseline_fidelity_plane, 201, 1)
     if avg_protocol >= avg_baseline:
         return float("inf")
     return max(abs(avg_protocol - 16 / 27), abs(avg_baseline - 2 / 3))
 
 
-def _check_monte_carlo(rng, swapped):
+def _check_monte_carlo(rng):
     worst = 0.0
     for a2, phi in _SPOT_STATES:
         psi = core.make_pure(a2, phi)
-        exact = protocol.exact_fidelity(psi, 0.1, 0.2, swapped=swapped)
-        res = protocol.mc_estimate(psi, 0.1, 0.2, 100_000, rng, swapped=swapped)
+        exact = protocol.exact_fidelity(psi, 0.1, 0.2)
+        res = protocol.mc_estimate(psi, 0.1, 0.2, 100_000, rng)
         if res.stderr == 0.0:
             worst = max(worst, 0.0 if abs(res.mean - exact) <= 1e-12 else float("inf"))
         else:
@@ -324,11 +323,11 @@ def _check_monte_carlo(rng, swapped):
     return worst
 
 
-def _check_sweep_columns(rng, swapped):
+def _check_sweep_columns(rng):
     aa = protocol.alpha2_grid(21)[:, None]
     pp = protocol.phi_grid(21)[None, :]
-    exact = protocol.exact_fidelity_plane(aa, pp, 0.25, 0.4, swapped=swapped)
-    mixed = protocol.mixed_input_fidelity_plane(aa, pp, swapped=swapped)
+    exact = protocol.exact_fidelity_plane(aa, pp, 0.25, 0.4)
+    mixed = protocol.mixed_input_fidelity_plane(aa, pp)
     return float(np.max(np.abs(exact - mixed)))
 
 
@@ -357,13 +356,11 @@ _CHECKS = (
 )
 
 
-def run_checks(tol: float | None = None, seed: int = 0, swapped: bool = False) -> VerifyReport:
+def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
     ``tol`` overrides the tolerance of the deviation-based checks only;
-    statistical checks always use their z-score threshold. ``swapped``
-    runs the protocol checks with the exchanged Pauli correction rule,
-    which a correct suite must flag.
+    statistical checks always use their z-score threshold.
     """
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -371,6 +368,6 @@ def run_checks(tol: float | None = None, seed: int = 0, swapped: bool = False) -
     for name, fn, default_tol, statistical in _CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, len(results))))
         tolerance = default_tol if (statistical or tol is None) else tol
-        deviation = float(fn(rng, swapped))
+        deviation = float(fn(rng))
         results.append(InvariantResult(name, deviation, tolerance, deviation <= tolerance, statistical))
     return VerifyReport(tuple(results))

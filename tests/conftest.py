@@ -1,0 +1,34 @@
+"""Shared fixtures for the test suite."""
+
+import pytest
+
+from clonerestore import protocol
+from clonerestore.core import ErrorType
+
+
+def _exchanged_rule(alice, bob):
+    """The comparison rule with its two assignments exchanged: a sign
+    disagreement gives sigma_x and a bit disagreement sigma_z."""
+    sign_differs = alice.sign != bob.sign
+    bit_differs = alice.bit != bob.bit
+    return ErrorType(int(sign_differs) + 2 * int(bit_differs)).operator
+
+
+def _clear_bank_caches():
+    protocol._branch_bank.cache_clear()
+    protocol._receiver_gram_bank.cache_clear()
+
+
+@pytest.fixture
+def swapped_rule(monkeypatch):
+    """Negative control: run every protocol route with the exchanged rule.
+
+    Each route looks ``correction_unitary`` up as a ``protocol`` module
+    global, so patching it there reaches all of them; the cached branch
+    banks are rebuilt under the patched rule and again after teardown.
+    """
+    monkeypatch.setattr(protocol, "correction_unitary", _exchanged_rule)
+    _clear_bank_caches()
+    yield _exchanged_rule
+    monkeypatch.undo()
+    _clear_bank_caches()

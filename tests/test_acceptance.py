@@ -152,13 +152,13 @@ def test_criterion_07_fidelity_floor(grid_101, exact_surface_101):
            f"strict off-exception: {strict}, tol 1e-12")
 
 
-def _identity_deviation(swapped):
+def _identity_deviation():
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(100):
         psi = make_pure(rng.random(), rng.random() * 2 * np.pi)
-        stats = [branch_statistics(psi, Outcome.PLUS_0, ErrorType(i), Outcome(i),
-                                   swapped=swapped) for i in range(4)]
+        stats = [branch_statistics(psi, Outcome.PLUS_0, ErrorType(i), Outcome(i))
+                 for i in range(4)]
         p0, s0 = stats[0]
         for p, s in stats[1:]:
             worst = max(worst, abs(p - p0), float(np.max(np.abs(s.vector - s0.vector))))
@@ -166,7 +166,7 @@ def _identity_deviation(swapped):
 
 
 def test_criterion_08_outcome_agreement_identities():
-    worst = _identity_deviation(swapped=False)
+    worst = _identity_deviation()
     p_spot, _ = branch_statistics(KET0, Outcome.PLUS_0, ErrorType.NO_ERROR, Outcome.PLUS_0)
     spot_dev = abs(p_spot - 5 / 12)
     ok = worst <= 1e-12 and spot_dev <= 1e-12
@@ -174,8 +174,8 @@ def test_criterion_08_outcome_agreement_identities():
            f"max dev {worst:.3e}, spot |p-5/12| {spot_dev:.3e}, tol 1e-12")
 
 
-def test_criterion_09_negative_control():
-    swapped_dev = _identity_deviation(swapped=True)
+def test_criterion_09_negative_control(swapped_rule):
+    swapped_dev = _identity_deviation()
     report(9, "swapped-rule-detected", swapped_dev > 1e-12,
            f"swapped-rule identity dev {swapped_dev:.3e} must exceed 1e-12")
 

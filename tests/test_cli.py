@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -60,6 +61,33 @@ def expected_sweep(mode, n_alpha, n_phi, pbit=0.0, pph=0.0, trials=0, seed=0):
     average = protocol.grid_average(averaged, n_alpha, n_phi)
     lines.append(f"# average={format(average, '.12g')}")
     return "\n".join(lines) + "\n"
+
+
+_EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
+
+
+# Whole-output sha256 digests, so a refactor that keeps every number but
+# moves a byte shows up here. analytic and mixed agree with exact on this grid.
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "exact",
+      "--pbit", "0.3", "--pph", "0.6", "--out", "-"], _EXACT_11x9),
+    (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "analytic",
+      "--pbit", "0.3", "--pph", "0.6", "--out", "-"], _EXACT_11x9),
+    (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "mixed",
+      "--pbit", "0.3", "--pph", "0.6", "--out", "-"], _EXACT_11x9),
+    (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "baseline", "--out", "-"],
+     "737d1cbbe7103757662e1fee144acf84518e8b8ae425d8341e934a2a572590cf"),
+    (["sweep", "--grid-alpha", "5", "--grid-phi", "3", "--mode", "mc", "--trials", "200",
+      "--seed", "3", "--pbit", "0.1", "--pph", "0.2", "--out", "-"],
+     "95d2fef9cad5a0620c57705babd176e3c4592c8e75a5589cd972c4fcbe830a4f"),
+    (["mc", "--alpha2", "0.3", "--phi", "2.0", "--pbit", "0.2", "--pph", "0.1",
+      "--trials", "20000", "--seed", "123"],
+     "e7017cd3ec5bdedee09b600b9e5ea01e5802cad52d58d737350bdd94929c3adc"),
+], ids=["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc"])
+def test_golden_bytes(argv, digest):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestSweep:
@@ -189,23 +217,36 @@ class TestSweep:
 
 
 class TestVerify:
+    def test_swapped_rule_detected(self, swapped_rule):
+        code, out, _ = run_cli(["verify"])
+        assert code == 1
+        failed = [line.split()[1:3] for line in out.split("\n") if line.startswith("FAIL")]
+        assert failed == [
+            ["exact-analytic-mixed-agreement", "dev=2.222e-01"],
+            ["outcome-agreement-identities", "dev=1.413e+00"],
+            ["fidelity-floor-and-exceptions", "dev=inf"],
+            ["plane-averages", "dev=9.259e-02"],
+        ]
+        assert out.endswith("verify: 17/21 invariants passed\n")
+
+    # runs after test_swapped_rule_detected, so it also checks that the
+    # fixture's teardown restores the rule and rebuilds the branch banks
     def test_default_run_passes(self):
         code, out, _ = run_cli(["verify"])
         assert code == 0
         lines = out.strip().split("\n")
         assert all(line.startswith("PASS") for line in lines[:-1])
-        assert lines[-1].endswith("invariants passed")
+        assert lines[-1] == "verify: 21/21 invariants passed"
+
+    def test_swap_flag_removed(self):
+        code, out, err = run_cli(["verify", "--swap-pauli-rule"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --swap-pauli-rule" in err
 
     def test_impossible_tolerance_fails(self):
         code, out, _ = run_cli(["verify", "--tol", "1e-30"])
         assert code == 1
         assert "FAIL" in out
-
-    def test_swapped_rule_detected(self):
-        code, out, _ = run_cli(["verify", "--swap-pauli-rule"])
-        assert code == 1
-        identity_line = [l for l in out.split("\n") if "outcome-agreement-identities" in l]
-        assert identity_line and identity_line[0].startswith("FAIL")
 
     def test_negative_tolerance_rejected(self):
         for tol in ("-1", "0", "nan", "inf"):

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clonerestore.cloning import Outcome, reversed_fidelity_plane
-from clonerestore.core import ErrorType, PureQubit, make_pure
+from clonerestore import protocol
+from clonerestore.cloning import (
+    Outcome,
+    estimation_elements,
+    reversed_fidelity,
+    reversed_fidelity_plane,
+)
+from clonerestore.core import (
+    MAXIMALLY_MIXED,
+    PAULI_X,
+    PAULI_Z,
+    ErrorType,
+    KrausChannel,
+    PureQubit,
+    error_channel,
+    make_pure,
+)
 from clonerestore.protocol import (
     MCResult,
     alpha2_grid,
@@ -32,6 +49,11 @@ ELEMENTS = np.array(
     [[[2, 1], [0, 1]], [[1, 0], [1, 2]], [[2, -1], [0, 1]], [[-1, 0], [1, -2]]],
     dtype=complex,
 ) / (2 * np.sqrt(3))
+
+
+alpha2s = st.floats(min_value=0.0, max_value=1.0)
+phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
+probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 
 def random_states(seed, n):
@@ -99,11 +121,11 @@ class TestCorrectionUnitary:
         np.testing.assert_array_equal(
             correction_unitary(Outcome.PLUS_0, Outcome.MINUS_1), SX @ SZ)
 
-    def test_swapped_rule_exchanges_assignments(self):
+    def test_swapped_rule_exchanges_assignments(self, swapped_rule):
         np.testing.assert_array_equal(
-            correction_unitary(Outcome.PLUS_0, Outcome.PLUS_1, swapped=True), SZ)
+            protocol.correction_unitary(Outcome.PLUS_0, Outcome.PLUS_1), SZ)
         np.testing.assert_array_equal(
-            correction_unitary(Outcome.PLUS_0, Outcome.MINUS_0, swapped=True), SX)
+            protocol.correction_unitary(Outcome.PLUS_0, Outcome.MINUS_0), SX)
 
 
 class TestBranchStatistics:
@@ -120,12 +142,10 @@ class TestBranchStatistics:
                 assert p == pytest.approx(p0, abs=1e-12)
                 assert np.max(np.abs(s.vector - s0.vector)) < 1e-12
 
-    def test_swapped_rule_breaks_state_identity(self):
+    def test_swapped_rule_breaks_state_identity(self, swapped_rule):
         psi = make_pure(0.7, 1.1)
-        _, s0 = branch_statistics(psi, Outcome.PLUS_0, ErrorType.NO_ERROR, Outcome.PLUS_0,
-                                  swapped=True)
-        _, s1 = branch_statistics(psi, Outcome.PLUS_0, ErrorType.BIT_FLIP, Outcome.PLUS_1,
-                                  swapped=True)
+        _, s0 = branch_statistics(psi, Outcome.PLUS_0, ErrorType.NO_ERROR, Outcome.PLUS_0)
+        _, s1 = branch_statistics(psi, Outcome.PLUS_0, ErrorType.BIT_FLIP, Outcome.PLUS_1)
         assert np.max(np.abs(s0.vector - s1.vector)) > 1e-3
 
 
@@ -258,6 +278,48 @@ class TestPlaneAverage:
     def test_grid_average_weights(self):
         values = np.outer(alpha2_grid(11), np.ones(3))
         assert grid_average(values, 11, 3) == pytest.approx(0.5, abs=1e-14)
+        # degenerate grids: one alpha^2 point has no trapezoid, no phi point no mean
+        for values, n_alpha, n_phi, what in ((np.ones(3), 1, 3, "n_alpha"),
+                                             (np.ones(0), 0, 3, "n_alpha"),
+                                             (np.ones(0), 2, 0, "n_phi")):
+            with pytest.raises(ValueError, match=f"{what} must be at least"):
+                grid_average(values, n_alpha, n_phi)
+
+
+class TestProtocolProperties:
+    @given(alpha2=alpha2s, phi=phis, p_bit=probabilities, p_ph=probabilities)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_fidelity_bounds_and_routes(self, alpha2, phi, p_bit, p_ph):
+        psi = make_pure(alpha2, phi)
+        f = exact_fidelity(psi, p_bit, p_ph)
+        assert 0.5 - 1e-12 <= f <= 13 / 18 + 1e-12
+        assert f == pytest.approx(analytic_fidelity(alpha2, phi), abs=1e-12)
+        assert f == pytest.approx(mixed_input_fidelity(psi), abs=1e-12)
+
+    @given(alpha2=alpha2s, phi=phis)
+    def test_reversed_fidelity_floor(self, alpha2, phi):
+        assert reversed_fidelity(make_pure(alpha2, phi)) >= 5 / 6 - 1e-12
+
+
+class TestSharedArrays:
+    def test_in_place_writes_raise(self):
+        est = estimation_elements()
+        ch = error_channel(0.2, 0.3)
+        shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
+                  est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
+                  ch.elements, ch.effects, protocol._branch_bank(), protocol._receiver_gram_bank(),
+                  *(correction_unitary(a, b) for a in Outcome for b in Outcome)]
+        for arr in shared:
+            before = arr.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+            np.testing.assert_array_equal(arr, before)
+        np.testing.assert_array_equal(correction_unitary(Outcome.PLUS_0, Outcome.PLUS_1), SX)
+        assert len(error_channel(0.3, 0.6)) == 4
+        # a channel keeps a copy, so the caller's own array stays writable
+        mine = np.eye(2, dtype=complex)[None]
+        KrausChannel(mine)
+        mine *= 1
 
 
 class TestRunTrajectory:
