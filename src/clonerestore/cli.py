@@ -132,13 +132,14 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
         return [exact, analytic]
     f_mc = np.empty(shape)
     mc_err = np.empty(shape)
+    # one mc_estimates call per alpha^2 row: its branch tables are built
+    # together, and the lazy generators keep one point's stream alive at a time
     for di, a2 in enumerate(aa[:, 0]):
-        for j, phi in enumerate(pp[0]):
-            seq = np.random.SeedSequence((args.seed, first_row + di, j))
-            res = protocol.mc_estimate(make_pure(a2, phi), args.pbit, args.pph,
-                                       args.trials, np.random.default_rng(seq))
-            f_mc[di, j] = res.mean
-            mc_err[di, j] = res.stderr
+        vectors = np.stack([make_pure(a2, phi).vector for phi in pp[0]])
+        rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
+                for j in range(shape[1]))
+        f_mc[di], mc_err[di] = protocol.mc_estimates(vectors, args.pbit, args.pph,
+                                                     args.trials, rngs)
     return [exact, analytic, f_mc, mc_err]
 
 

@@ -279,36 +279,69 @@ def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
     return TrajectoryRecord(alice, error, bob, final, overlap)
 
 
+def _count_at_most(cum, x):
+    """How many of cum[0], cum[1], cum[2] are <= x: the inverse-CDF draw.
+
+    Equals ``searchsorted(cum, x, side="right")`` clamped to 3, because
+    cumulative probabilities never decrease.
+    """
+    return (cum[0] <= x).astype(np.intp) + (cum[1] <= x) + (cum[2] <= x)
+
+
+def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
+                 rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means and standard errors for a stack of input states.
+
+    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
+    yields exactly one generator per vector and may be lazy. Each point
+    samples the same (alice, error, bob) chain as ``run_trajectory``,
+    drawing its trials at once from the exact conditional distributions
+    with three ``rng.random(trials)`` calls. The branch tables of all N
+    points come from one contraction; the trials are drawn point by
+    point. Deterministic for fixed generator states.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise ValueError("vectors must have shape (N, 2)")
+    if not np.all(np.abs(np.sum(np.abs(v) ** 2, axis=-1) - 1.0) <= 1e-12):
+        raise ValueError("vectors must be normalized")
+    amps = np.einsum("aebij,nj->naebi", _branch_bank(), v)
+    # joint weight (given error) and overlap per branch
+    norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        overlaps = np.abs(np.einsum("ni,naebi->naeb", v.conj(), amps)) ** 2 / norms2
+    overlaps = np.nan_to_num(overlaps).reshape(len(v), 64)
+
+    p_alice = norms2[:, :, 0, :].sum(axis=-1)       # error slot 0 is the identity
+    total_alice = p_alice.sum(axis=-1)
+    cum_alice = np.cumsum(p_alice, axis=-1)
+    cum_err = np.cumsum(error_probabilities(p_bit, p_ph))
+    # cum_bob[n, :, 4a + e] is the cumulative P(bob | alice, error) row
+    cond_bob = norms2 / p_alice[:, :, None, None]
+    cum_bob = np.cumsum(cond_bob, axis=-1).reshape(len(v), 16, 4).transpose(0, 2, 1).copy()
+
+    means = np.empty(len(v))
+    stderrs = np.zeros(len(v))
+    for n, rng in zip(range(len(v)), rngs, strict=True):
+        a_draw = _count_at_most(cum_alice[n], rng.random(trials) * total_alice[n])
+        row = 4 * a_draw + _count_at_most(cum_err, rng.random(trials))
+        bob_rows = cum_bob[n].take(row, axis=1)
+        b_draw = _count_at_most(bob_rows, rng.random(trials) * bob_rows[3])
+        sample = overlaps[n].take(4 * row + b_draw)
+        means[n] = sample.mean()
+        if trials > 1:
+            stderrs[n] = sample.std(ddof=1) / np.sqrt(trials)
+    return means, stderrs
+
+
 def mc_estimate(psi: PureQubit, p_bit: float, p_ph: float, trials: int,
                 rng: np.random.Generator) -> MCResult:
     """Monte Carlo mean and standard error of the trajectory overlap.
 
-    Samples the same (alice, error, bob) chain as ``run_trajectory``,
-    drawing all trials at once from the exact conditional distributions.
-    Deterministic for a fixed generator state.
+    One point of ``mc_estimates``. Deterministic for a fixed generator
+    state.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    v = psi.vector
-    bank = _branch_bank()
-    amps = np.einsum("aebij,j->aebi", bank, v)
-    # joint weight (given error) and overlap per branch
-    norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        overlaps = np.abs(np.einsum("i,aebi->aeb", v.conj(), amps)) ** 2 / norms2
-    overlaps = np.nan_to_num(overlaps)
-
-    p_alice = norms2[:, 0, :].sum(axis=-1)           # error slot 0 is the identity
-    p_err = error_probabilities(p_bit, p_ph)
-    cond_bob = norms2 / p_alice[:, None, None]       # rows sum to 1 over bob
-
-    a_draw = np.searchsorted(np.cumsum(p_alice), rng.random(trials) * p_alice.sum(), side="right")
-    a_draw = np.minimum(a_draw, 3)
-    e_draw = np.minimum(np.searchsorted(np.cumsum(p_err), rng.random(trials), side="right"), 3)
-    rows = np.cumsum(cond_bob[a_draw, e_draw, :], axis=1)
-    b_draw = np.minimum(
-        np.sum(rows <= (rng.random(trials) * rows[:, -1])[:, None], axis=1), 3)
-
-    sample = overlaps[a_draw, e_draw, b_draw]
-    stderr = float(sample.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return MCResult(float(sample.mean()), stderr, trials)
+    means, stderrs = mc_estimates(psi.vector[None], p_bit, p_ph, trials, (rng,))
+    return MCResult(float(means[0]), float(stderrs[0]), trials)
