@@ -83,7 +83,20 @@ _EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
     (["mc", "--alpha2", "0.3", "--phi", "2.0", "--pbit", "0.2", "--pph", "0.1",
       "--trials", "20000", "--seed", "123"],
      "e7017cd3ec5bdedee09b600b9e5ea01e5802cad52d58d737350bdd94929c3adc"),
-], ids=["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc"])
+    # the edges of the Monte Carlo sampler: a partial last block with zero
+    # rates and the minimum trial count, certain errors (zero-width steps
+    # in the cumulative tables), and the pole under a certain bit flip
+    (["sweep", "--grid-alpha", "6", "--grid-phi", "4", "--mode", "mc", "--trials", "2",
+      "--seed", "0", "--out", "-"],
+     "18870d33adc11a16cfe0fc24b91b7497ea3bbf52f04f5764d90b77668bed0b8f"),
+    (["sweep", "--grid-alpha", "3", "--grid-phi", "2", "--mode", "mc", "--trials", "500",
+      "--seed", "7", "--pbit", "1", "--pph", "1", "--out", "-"],
+     "a8ea6538c665b29267d6b9e74d7d68474c50365e5d3afa4c56a2da7e78b6fb12"),
+    (["mc", "--alpha2", "1", "--phi", "0", "--pbit", "1", "--pph", "0", "--trials", "1000",
+      "--seed", "5"],
+     "0378a54e3bd84d1a56606beed977f83b680cd2bfdb4d053c2f36f350972ecdcf"),
+], ids=["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc",
+        "sweep-mc-two-trials", "sweep-mc-certain-errors", "mc-pole-bit-flip"])
 def test_golden_bytes(argv, digest):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")

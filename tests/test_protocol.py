@@ -32,6 +32,7 @@ from clonerestore.protocol import (
     exact_fidelity_plane,
     grid_average,
     mc_estimate,
+    mc_estimates,
     mixed_input_fidelity,
     mixed_input_fidelity_plane,
     phi_grid,
@@ -395,3 +396,70 @@ class TestMcEstimate:
     def test_trials_domain(self):
         with pytest.raises(ValueError):
             mc_estimate(KET0, 0.0, 0.0, 0, np.random.default_rng(0))
+
+
+def _reference_mc(psi, p_bit, p_ph, trials, rng):
+    """The sampler as first written: searchsorted draws on per-point tables."""
+    v = psi.vector
+    amps = np.einsum("aebij,j->aebi", protocol._branch_bank(), v)
+    norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        overlaps = np.abs(np.einsum("i,aebi->aeb", v.conj(), amps)) ** 2 / norms2
+    overlaps = np.nan_to_num(overlaps)
+    p_alice = norms2[:, 0, :].sum(axis=-1)
+    p_err = [(1 - p_bit) * (1 - p_ph), p_bit * (1 - p_ph), p_ph * (1 - p_bit), p_bit * p_ph]
+    cond_bob = norms2 / p_alice[:, None, None]
+    a = np.minimum(np.searchsorted(np.cumsum(p_alice), rng.random(trials) * p_alice.sum(),
+                                   side="right"), 3)
+    e = np.minimum(np.searchsorted(np.cumsum(p_err), rng.random(trials), side="right"), 3)
+    rows = np.cumsum(cond_bob[a, e, :], axis=1)
+    b = np.minimum(np.sum(rows <= (rng.random(trials) * rows[:, -1])[:, None], axis=1), 3)
+    sample = overlaps[a, e, b]
+    return float(sample.mean()), float(sample.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+
+
+class TestMcEstimates:
+    # the poles, the equator at phi = pi/2 and two generic states
+    STATES = [(0.0, 0.0), (1.0, 0.0), (0.5, np.pi / 2), (0.3, 2.0), (0.85, 5.5)]
+
+    @pytest.mark.parametrize("p_bit, p_ph", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.6)])
+    @pytest.mark.parametrize("trials", [1, 2, 2000])
+    def test_batched_matches_single_points(self, p_bit, p_ph, trials):
+        psis = [make_pure(a2, phi) for a2, phi in self.STATES]
+        batched_rngs = [np.random.default_rng(40 + k) for k in range(len(psis))]
+        means, stderrs = mc_estimates(np.stack([psi.vector for psi in psis]), p_bit, p_ph,
+                                      trials, iter(batched_rngs))
+        for k, psi in enumerate(psis):
+            single_rng, reference_rng = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
+            res = mc_estimate(psi, p_bit, p_ph, trials, single_rng)
+            assert (means[k], stderrs[k]) == (res.mean, res.stderr)
+            assert (res.mean, res.stderr) == _reference_mc(psi, p_bit, p_ph, trials, reference_rng)
+            state = reference_rng.bit_generator.state
+            assert single_rng.bit_generator.state == state
+            assert batched_rngs[k].bit_generator.state == state
+
+    def test_lazy_generators(self):
+        vectors = np.stack([make_pure(a2, phi).vector for a2, phi in self.STATES])
+        eager = mc_estimates(vectors, 0.2, 0.7, 300,
+                             [np.random.default_rng(k) for k in range(len(vectors))])
+        lazy = mc_estimates(vectors, 0.2, 0.7, 300,
+                            (np.random.default_rng(k) for k in range(len(vectors))))
+        np.testing.assert_array_equal(eager[0], lazy[0])
+        np.testing.assert_array_equal(eager[1], lazy[1])
+
+    def test_generator_count_must_match(self):
+        vectors = np.stack([KET0.vector, make_pure(0.4, 1.0).vector])
+        for count in (0, 1, 3):
+            with pytest.raises(ValueError):
+                mc_estimates(vectors, 0.1, 0.2, 10, (np.random.default_rng(k) for k in range(count)))
+
+    def test_input_contract(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="trials"):
+            mc_estimates(KET0.vector[None], 0.0, 0.0, 0, [rng])
+        for vectors in (KET0.vector, np.ones((1, 3)), np.zeros((1, 2)), [[1.0, 1.0]],
+                        [[np.nan, 0.0]]):
+            with pytest.raises(ValueError, match="vectors"):
+                mc_estimates(vectors, 0.0, 0.0, 10, [rng])
+        with pytest.raises(ValueError, match="p_bit"):
+            mc_estimates(KET0.vector[None], 1.5, 0.0, 10, [rng])
