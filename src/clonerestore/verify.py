@@ -257,16 +257,17 @@ def _check_error_rate_independence(rng):
 
 
 def _grid_surfaces():
+    """The 101x101 grid and its exact, mixed and analytic surfaces."""
     aa = protocol.alpha2_grid(101)[:, None]
     pp = protocol.phi_grid(101)[None, :]
     exact = protocol.exact_fidelity_plane(aa, pp)
     mixed = protocol.mixed_input_fidelity_plane(aa, pp)
     analytic = protocol.analytic_fidelity(aa, pp)
-    return exact, mixed, analytic
+    return aa, pp, exact, mixed, analytic
 
 
-def _check_triple_agreement(rng):
-    exact, mixed, analytic = _grid_surfaces()
+def _check_triple_agreement(rng, surfaces):
+    _, _, exact, mixed, analytic = surfaces
     return float(max(np.max(np.abs(exact - analytic)), np.max(np.abs(exact - mixed))))
 
 
@@ -285,14 +286,12 @@ def _check_outcome_agreement_identities(rng):
     return max(worst, abs(p_spot - 5 / 12))
 
 
-def _check_fidelity_floor(rng):
-    exact, _, _ = _grid_surfaces()
+def _check_fidelity_floor(rng, surfaces):
+    aa, pp, exact, _, _ = surfaces
     worst = max(float(np.max(0.5 - exact)), 0.0)
     for a2, phi in _EXCEPTION_POINTS:
         worst = max(worst, abs(protocol.exact_fidelity(core.make_pure(a2, phi)) - 0.5))
     # strictness: away from the exception points the floor is never attained
-    aa = protocol.alpha2_grid(101)[:, None]
-    pp = protocol.phi_grid(101)[None, :]
     at_floor = np.abs(exact - 0.5) <= 1e-12
     on_exception = np.zeros_like(at_floor)
     for a2, phi in _EXCEPTION_POINTS:
@@ -355,6 +354,10 @@ _CHECKS = (
     ("sweep-exact-mixed-columns", _check_sweep_columns, 1e-10, False),
 )
 
+# Checks that also read the 101x101 surfaces, which run_checks evaluates
+# once per run (not per process, so a patched correction rule reaches them).
+_SURFACE_CHECKS = (_check_triple_agreement, _check_fidelity_floor)
+
 
 def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
@@ -364,10 +367,11 @@ def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    surfaces = _grid_surfaces()
     results = []
     for name, fn, default_tol, statistical in _CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, len(results))))
         tolerance = default_tol if (statistical or tol is None) else tol
-        deviation = float(fn(rng))
+        deviation = float(fn(rng, surfaces) if fn in _SURFACE_CHECKS else fn(rng))
         results.append(InvariantResult(name, deviation, tolerance, deviation <= tolerance, statistical))
     return VerifyReport(tuple(results))
