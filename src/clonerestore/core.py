@@ -55,8 +55,9 @@ class PureQubit:
             raise ValueError("amplitudes must be nonnegative")
         if abs(a * a + b * b - 1.0) > 1e-12:
             raise ValueError("state is not normalized: alpha^2 + beta^2 != 1")
+        # a tiny negative phase reduces to 2*pi - tiny, which rounds to 2*pi
         p = p % TWO_PI
-        if a == 0.0 or b == 0.0:
+        if a == 0.0 or b == 0.0 or p == TWO_PI:
             p = 0.0
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)

@@ -27,6 +27,19 @@ KET0 = make_pure(1.0, 0.0)
 KET1 = make_pure(0.0, 0.0)
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
+channels = st.one_of(st.builds(error_channel, probabilities, probabilities),
+                     st.just(estimation_elements().kraus))
+
+
+@st.composite
+def density_matrices(draw):
+    """(I + r.sigma)/2 for a Bloch vector r in the closed unit ball."""
+    r = draw(probabilities)
+    theta = draw(st.floats(min_value=0.0, max_value=np.pi))
+    phi = draw(phis)
+    x, y, z = r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta)
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
 def random_density(rng):
@@ -70,6 +83,8 @@ class TestPureQubit:
     def test_phi_wraps(self):
         psi = PureQubit(np.sqrt(0.5), np.sqrt(0.5), 5 * np.pi)
         assert psi.phi == pytest.approx(np.pi)
+        # -1e-17 % 2pi rounds to 2pi itself, outside [0, 2pi)
+        assert PureQubit(np.sqrt(0.5), np.sqrt(0.5), -1e-17).phi == 0.0
 
     def test_from_vector_strips_global_phase(self):
         v = np.exp(1.3j) * make_pure(0.3, 2.0).vector
@@ -273,6 +288,28 @@ class TestSampleElement:
         scalar = [sample_element(ch, psi, scalar_rng)[0] for _ in range(1000)]
         np.testing.assert_array_equal(batched, scalar)
         assert batched_rng.random() == scalar_rng.random()
+
+
+class TestCoreProperties:
+    @given(ch=channels, rho=density_matrices())
+    def test_channel_output_is_a_density_matrix(self, ch, rho):
+        out = apply_channel(ch, rho)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+    @given(ch=channels, alpha2=probabilities, phi=phis, seed=st.integers(0, 2**32 - 1))
+    def test_sampled_state_is_normalised_in_canonical_gauge(self, ch, alpha2, phi, seed):
+        psi = make_pure(alpha2, phi)
+        idx, out = sample_element(ch, psi, np.random.default_rng(seed))
+        assert out.alpha >= 0.0 and out.beta >= 0.0
+        assert out.alpha ** 2 + out.beta ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= out.phi < 2 * np.pi
+        if out.alpha == 0.0 or out.beta == 0.0:
+            assert out.phi == 0.0
+        # the drawn element's action on psi, up to a global phase
+        w = ch.elements[idx] @ psi.vector
+        assert abs(np.vdot(out.vector, w)) ** 2 / np.vdot(w, w).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReduceQubit:
