@@ -11,6 +11,7 @@ three coincide, which is exactly the protocol's error-rate independence.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -289,7 +290,7 @@ def _count_at_most(cum, x):
 
 
 def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
-                 rngs) -> tuple[np.ndarray, np.ndarray]:
+                 rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors for a stack of input states.
 
     ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``

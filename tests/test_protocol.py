@@ -399,7 +399,7 @@ class TestMcEstimate:
 
 
 def _reference_mc(psi, p_bit, p_ph, trials, rng):
-    """The sampler as first written: searchsorted draws on per-point tables."""
+    """Reference sampler: searchsorted draws on one state's own branch tables."""
     v = psi.vector
     amps = np.einsum("aebij,j->aebi", protocol._branch_bank(), v)
     norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
