@@ -10,13 +10,16 @@ rates, equals what a maximally mixed input would achieve, and averages
 import numpy as np
 
 from clonerestore import (
+    ErrorType,
+    Outcome,
     analytic_fidelity,
-    baseline_fidelity_plane,
+    bloch_form,
+    correction_unitary,
+    dagger,
+    estimation_elements,
     exact_fidelity,
-    exact_fidelity_plane,
     make_pure,
     mixed_input_fidelity,
-    plane_average,
 )
 
 psi = make_pure(0.8, 0.5)
@@ -31,9 +34,28 @@ print("\nfidelity floor: 1/2, attained only at (alpha^2, phi) = (1/2, pi/2), (1/
 for phi in (np.pi / 2, 3 * np.pi / 2):
     print(f"  F(0.5, {phi:.4f}) = {exact_fidelity(make_pure(0.5, phi)):.12f}")
 
-print("\nplane averages (201x201 grid):")
-avg_protocol = plane_average(exact_fidelity_plane, 201, 201)
-avg_baseline = plane_average(baseline_fidelity_plane, 201, 1)
-print(f"  restoration protocol: {avg_protocol:.6f}  (16/27 = {16 / 27:.6f})")
-print(f"  measure-and-prepare:  {avg_baseline:.6f}  (2/3 = {2 / 3:.6f})")
+# Every branch operator times 120 has Gaussian-integer entries, so the
+# fidelity is an exact rational quadratic form r^T G r in the Bloch vector
+# r = (1, x, y, z), and its sphere average is G00 + (G11 + G22 + G33) / 3.
+est = estimation_elements()
+
+
+def protocol_form(error):
+    ops = [correction_unitary(a, b) @ dagger(est.reversal_unitaries[b]) @ est.elements[b]
+           @ error.operator @ est.sqrt_effects[a] for a in Outcome for b in Outcome]
+    return bloch_form(np.array(ops), 120 ** 2)
+
+
+def sphere_average(form):
+    return form[0, 0] + (form[1, 1] + form[2, 2] + form[3, 3]) / 3
+
+
+forms = [protocol_form(error) for error in ErrorType]
+diagonal = ", ".join(str(g) for g in np.diag(forms[0]))
+print("\nexact Bloch form G = diag(" + diagonal + ")")
+print(f"  the same for every channel error: {all(np.array_equal(g, forms[0]) for g in forms)}")
+baseline = bloch_form(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), 1)
+print("\nexact sphere averages:")
+print(f"  restoration protocol: {sphere_average(forms[0])}")
+print(f"  measure-and-prepare:  {sphere_average(baseline)}")
 print("\nusing both the quantum and the classical channel loses to the classical-only scheme.")

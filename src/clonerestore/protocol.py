@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .cloning import (
 from .core import (
     _ERROR_OPERATORS,
     MAXIMALLY_MIXED,
+    PAULI_X,
+    PAULI_Z,
     ErrorType,
     PureQubit,
     _cached_error_channel,
@@ -221,27 +224,42 @@ def grid_average(values: np.ndarray, n_alpha: int, n_phi: int) -> float:
     return float(w @ values.mean(axis=1) / (n_alpha - 1))
 
 
-def plane_average(f, n_alpha: int = 201, n_phi: int = 201) -> float:
-    """Average a fidelity function f(alpha2, phi) over the state plane.
+# Pauli basis (I, X, Y, Z): |v><v| = sum_k r_k sigma_k / 2 with r = (1, x, y, z).
+_PAULI_BASIS = _read_only(np.stack([np.eye(2), PAULI_X, [[0, -1j], [1j, 0]], PAULI_Z]))
 
-    alpha2 is integrated over [0, 1] by the trapezoid rule (endpoints
-    included), phi by the uniform rule on [0, 2*pi) (endpoint excluded,
-    exact for trigonometric polynomials). f is evaluated on the full
-    meshgrid at once when it broadcasts, and pointwise when that call
-    raises TypeError or returns the wrong shape. Any other exception from
-    f propagates, so an f that branches on its scalar arguments (and so
-    raises ValueError on arrays) must be wrapped in ``np.vectorize``.
+
+def bloch_form(ops, scale2: int) -> np.ndarray:
+    """Exact quadratic form of sum_n |<v|M_n|v>|^2 in the Bloch vector.
+
+    ``ops`` stacks operators M_n with shape (..., 2, 2). Returns the
+    symmetric 4x4 object array G of ``Fraction`` entries with
+    sum_n |<v|M_n|v>|^2 = r^T G r for every unit vector v, where
+    r = (1, x, y, z) is its Bloch vector. Each Pauli coefficient
+    c_nk = tr(M_n sigma_k) times sqrt(scale2) must be a Gaussian integer
+    to within 1e-9, else ValueError; G is then built in integers over the
+    denominator 4 * scale2, as G_kl = sum_n Re(conj(c_nk) c_nl) / 4.
     """
-    a = alpha2_grid(n_alpha)
-    p = phi_grid(n_phi)
-    aa, pp = np.meshgrid(a, p, indexing="ij")
-    try:
-        values = np.asarray(f(aa, pp), dtype=float)
-    except TypeError:
-        values = None
-    if values is None or values.shape != aa.shape:
-        values = np.array([[float(f(ai, pj)) for pj in p] for ai in a])
-    return grid_average(values, n_alpha, n_phi)
+    # imported here: fractions loads the decimal module, which no other
+    # command of the CLI needs
+    from fractions import Fraction
+
+    if isinstance(scale2, bool) or not isinstance(scale2, Integral) or scale2 < 1:
+        raise ValueError("scale2 must be a positive integer")
+    m = np.asarray(ops, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (2, 2):
+        raise ValueError("ops must have shape (..., 2, 2)")
+    c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * np.sqrt(scale2)
+    g = np.round(c)
+    if not np.all(np.abs(c - g) <= 1e-9):
+        raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")
+    re = [[int(x) for x in row] for row in g.real]
+    im = [[int(x) for x in row] for row in g.imag]
+    form = np.empty((4, 4), dtype=object)
+    for k in range(4):
+        for j in range(4):
+            num = sum(a[k] * a[j] + b[k] * b[j] for a, b in zip(re, im))
+            form[k, j] = Fraction(num, 4 * scale2)
+    return form
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from clonerestore import protocol
 from clonerestore.cloning import (
     Outcome,
     estimation_elements,
@@ -21,14 +23,13 @@ from clonerestore.linalg import dagger, haar_random_unitary, hs_distance, neares
 from clonerestore.protocol import (
     alpha2_grid,
     analytic_fidelity,
-    baseline_fidelity_plane,
+    bloch_form,
     branch_statistics,
     exact_fidelity,
     exact_fidelity_plane,
     mc_estimate,
     mixed_input_fidelity_plane,
     phi_grid,
-    plane_average,
 )
 
 KET0 = make_pure(1.0, 0.0)
@@ -123,15 +124,20 @@ def test_criterion_05_analytic_agreement(grid_101, exact_surface_101):
            f"max pointwise dev {worst:.3e}, tol 1e-10")
 
 
+def haar_average(form):
+    """Bloch-sphere average of r^T G r: <x^2> = <y^2> = <z^2> = 1/3, odd moments 0."""
+    return form[0, 0] + (form[1, 1] + form[2, 2] + form[3, 3]) / 3
+
+
 def test_criterion_06_published_averages():
-    avg_protocol = plane_average(exact_fidelity_plane, 201, 201)
-    avg_baseline = plane_average(baseline_fidelity_plane, 201, 1)
-    dev_p = abs(avg_protocol - 16 / 27)
-    dev_b = abs(avg_baseline - 2 / 3)
-    ok = dev_p <= 1e-3 and dev_b <= 1e-3 and avg_protocol < avg_baseline
+    bank = protocol._branch_bank()
+    avg_protocol = {haar_average(bloch_form(bank[:, e], 120 ** 2)) for e in ErrorType}
+    avg_baseline = haar_average(bloch_form(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), 1))
+    ok = avg_protocol == {Fraction(16, 27)} and avg_baseline == Fraction(2, 3) \
+        and max(avg_protocol) < avg_baseline
     report(6, "published-averages", ok,
-           f"protocol {avg_protocol:.6f} vs 16/27 (dev {dev_p:.1e}), "
-           f"baseline {avg_baseline:.6f} vs 2/3 (dev {dev_b:.1e}), tol 1e-3")
+           f"protocol {sorted(map(str, avg_protocol))} per channel error vs 16/27, "
+           f"baseline {avg_baseline} vs 2/3, exact")
 
 
 def test_criterion_07_fidelity_floor(grid_101, exact_surface_101):

@@ -242,6 +242,24 @@ class TestVerify:
         ]
         assert out.endswith("verify: 17/21 invariants passed\n")
 
+    def test_non_pauli_rule_fails_without_traceback(self, monkeypatch):
+        # a correction outside the Pauli group takes the branch operators off
+        # the Gaussian-integer lattice, so no exact form can be built
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        monkeypatch.setattr(protocol, "correction_unitary",
+                            lambda alice, bob: np.eye(2) if alice == bob else hadamard)
+        protocol._branch_bank.cache_clear()
+        protocol._receiver_gram_bank.cache_clear()
+        try:
+            report = run_checks()
+        finally:
+            monkeypatch.undo()
+            protocol._branch_bank.cache_clear()
+            protocol._receiver_gram_bank.cache_clear()
+        failed = {r.name: r.deviation for r in report.results if not r.passed}
+        assert failed["plane-averages"] == float("inf")
+        assert failed["fidelity-floor-and-exceptions"] == float("inf")
+
     # runs after test_swapped_rule_detected, so it also checks that the
     # fixture's teardown restores the rule and rebuilds the branch banks
     def test_default_run_passes(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from clonerestore.protocol import (
     analytic_fidelity,
     baseline_direct_fidelity,
     baseline_fidelity_plane,
+    bloch_form,
     branch_statistics,
     correction_unitary,
     exact_fidelity,
@@ -36,7 +39,6 @@ from clonerestore.protocol import (
     mixed_input_fidelity,
     mixed_input_fidelity_plane,
     phi_grid,
-    plane_average,
     run_trajectory,
 )
 
@@ -237,38 +239,13 @@ class TestBaseline:
         for phi in (0.0, 1.0, np.pi):
             assert baseline_direct_fidelity(make_pure(0.5, phi)) == pytest.approx(0.5, abs=1e-14)
 
-    def test_plane_average(self):
-        assert plane_average(baseline_fidelity_plane, 201, 1) == pytest.approx(2 / 3, abs=1e-3)
-
 
 class TestPlaneAverage:
-    def test_constant(self):
-        assert plane_average(lambda a, p: np.ones_like(a), 11, 7) == 1.0
-
-    def test_published_protocol_average(self):
-        assert plane_average(analytic_fidelity, 201, 201) == pytest.approx(16 / 27, abs=1e-3)
-
-    def test_pointwise_fallback_matches_vectorized(self):
-        scalar_only = lambda a2, phi: float(analytic_fidelity(float(a2), float(phi)))
-        assert plane_average(scalar_only, 21, 11) == pytest.approx(
-            plane_average(analytic_fidelity, 21, 11), abs=1e-14)
-
-    def test_errors_from_f_propagate(self):
-        calls = []
-
-        def broken(a2, phi):
-            calls.append(a2)
-            raise ValueError("broken")
-
-        with pytest.raises(ValueError, match="broken"):
-            plane_average(broken, 21, 11)
-        assert len(calls) == 1
-
     def test_grid_bounds(self):
-        with pytest.raises(ValueError):
-            plane_average(analytic_fidelity, 1, 5)
-        with pytest.raises(ValueError):
-            plane_average(analytic_fidelity, 5, 0)
+        with pytest.raises(ValueError, match="n_alpha must be at least 2"):
+            alpha2_grid(1)
+        with pytest.raises(ValueError, match="n_phi must be at least 1"):
+            phi_grid(0)
 
     def test_grid_conventions(self):
         a = alpha2_grid(5)
@@ -287,7 +264,78 @@ class TestPlaneAverage:
                 grid_average(values, n_alpha, n_phi)
 
 
+def bloch_vectors(alpha2, phi):
+    """r = (1, <X>, <Y>, <Z>) from the amplitude vectors."""
+    v = np.stack([np.sqrt(alpha2) + 0j, np.sqrt(1 - alpha2) * np.exp(1j * phi)], axis=-1)
+    paulis = [I2, SX, np.array([[0, -1j], [1j, 0]]), SZ]
+    return np.stack([np.einsum("...i,ij,...j->...", v.conj(), s, v).real for s in paulis], axis=-1)
+
+
+def form_values(form, alpha2, phi):
+    r = bloch_vectors(alpha2, phi)
+    return np.einsum("...k,kl,...l->...", r, form.astype(float), r)
+
+
+def protocol_form(error=ErrorType.NO_ERROR):
+    return bloch_form(protocol._branch_bank()[:, error], 120 ** 2)
+
+
+BASELINE_FORM_OPS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+
+
+class TestBlochForm:
+    def test_published_forms(self):
+        for error in ErrorType:
+            np.testing.assert_array_equal(
+                protocol_form(error), np.diag([Fraction(n, 18) for n in (7, 6, 2, 3)]))
+        np.testing.assert_array_equal(
+            bloch_form(estimation_elements().sqrt_effects, 120),
+            np.diag([Fraction(5, 6), Fraction(2, 15), 0, Fraction(1, 30)]))
+        np.testing.assert_array_equal(
+            bloch_form(BASELINE_FORM_OPS, 1), np.diag([Fraction(1, 2), 0, 0, Fraction(1, 2)]))
+        assert all(type(x) is Fraction for x in protocol_form().ravel())
+
+    def test_single_pauli(self):
+        # |<v|Y|v>|^2 = y^2
+        np.testing.assert_array_equal(
+            bloch_form(np.array([[0, -1j], [1j, 0]]), 1), np.diag([0, 0, 1, 0]))
+
+    @pytest.mark.parametrize("ops, scale2", [
+        (ELEMENTS, 1),                          # the elements need scale2 = 12
+        (ELEMENTS, 11),
+        (estimation_elements().sqrt_effects, 12),
+        (np.full((2, 2), np.nan), 1),
+        (np.full((2, 2), np.inf), 1),
+        (I2 * (1 + 1e-6), 1),
+    ])
+    def test_rejects_non_integer_coefficients(self, ops, scale2):
+        with pytest.raises(ValueError, match="Gaussian integers"):
+            bloch_form(ops, scale2)
+
+    def test_input_contract(self):
+        np.testing.assert_array_equal(bloch_form(ELEMENTS, 12), bloch_form(ELEMENTS, np.int64(12)))
+        for scale2 in (0, -4, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="scale2"):
+                bloch_form(I2, scale2)
+        for ops in (np.ones(2), np.ones((3, 3)), np.ones((2, 2, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                bloch_form(ops, 1)
+
+
 class TestProtocolProperties:
+    @given(alpha2=alpha2s, phi=phis, p_bit=probabilities, p_ph=probabilities)
+    @settings(max_examples=60, deadline=None)
+    def test_bloch_forms_match_planes(self, alpha2, phi, p_bit, p_ph):
+        protocol_value = form_values(protocol_form(), alpha2, phi)
+        assert exact_fidelity_plane(alpha2, phi, p_bit, p_ph) == pytest.approx(
+            protocol_value, abs=1e-12)
+        assert mixed_input_fidelity_plane(alpha2, phi) == pytest.approx(protocol_value, abs=1e-12)
+        reversed_form = bloch_form(estimation_elements().sqrt_effects, 120)
+        assert reversed_fidelity_plane(alpha2, phi) == pytest.approx(
+            form_values(reversed_form, alpha2, phi), abs=1e-12)
+        assert baseline_fidelity_plane(alpha2, phi) == pytest.approx(
+            form_values(bloch_form(BASELINE_FORM_OPS, 1), alpha2, phi), abs=1e-12)
+
     @given(alpha2=alpha2s, phi=phis, p_bit=probabilities, p_ph=probabilities)
     @settings(max_examples=60, deadline=None)
     def test_exact_fidelity_bounds_and_routes(self, alpha2, phi, p_bit, p_ph):
@@ -309,6 +357,7 @@ class TestSharedArrays:
         shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
                   est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
                   ch.elements, ch.effects, protocol._branch_bank(), protocol._receiver_gram_bank(),
+                  protocol._PAULI_BASIS,
                   *(correction_unitary(a, b) for a in Outcome for b in Outcome)]
         for arr in shared:
             before = arr.copy()
