@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fidelity evaluator for the f_exact column and the average")
     sweep.add_argument("--pbit", type=_probability, default=0.0, help="bit-flip probability")
     sweep.add_argument("--pph", type=_probability, default=0.0, help="phase-flip probability")
-    sweep.add_argument("--trials", type=_positive_int, default=1000,
+    sweep.add_argument("--trials", type=_trial_count, default=1000,
                        help="Monte Carlo trajectories per grid point (mode=mc)")
     sweep.add_argument("--seed", type=_seed, default=0, help="base seed for mode=mc")
     sweep.add_argument("--out", default="-", help="output path, or - for standard output")
@@ -191,10 +191,7 @@ def cmd_mc(args) -> int:
     exact = protocol.exact_fidelity(psi, args.pbit, args.pph)
     rng = np.random.default_rng(args.seed)
     res = protocol.mc_estimate(psi, args.pbit, args.pph, args.trials, rng)
-    if res.stderr > 0.0:
-        z = (res.mean - exact) / res.stderr
-    else:
-        z = 0.0 if abs(res.mean - exact) <= 1e-12 else float("inf")
+    z = res.z(exact)
     print(f"alpha2={_fmt(args.alpha2)}")
     print(f"phi={_fmt(args.phi)}")
     print(f"trials={res.trials}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -238,15 +237,25 @@ def error_channel(p_bit: float, p_ph: float) -> KrausChannel:
     return KrausChannel(elements)
 
 
-@lru_cache(maxsize=None)
-def _cached_error_channel(p_bit: float, p_ph: float) -> KrausChannel:
-    return error_channel(p_bit, p_ph)
-
-
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_i E_i rho E_i^dag."""
     rho = np.asarray(rho, dtype=complex)
     return np.einsum("aij,jk,alk->il", ch.elements, rho, ch.elements.conj())
+
+
+def _count_at_most(cum, x):
+    """How many of cum[0], ..., cum[k-2] are <= x: the inverse-CDF draw.
+
+    ``cum`` holds the cumulative probabilities of k outcomes on its first
+    axis; its other axes broadcast against x, whose shape the result has.
+    Since they never decrease, this is the first outcome whose cumulative
+    probability exceeds x, clamped to k - 1.
+    """
+    # one comparison at a time: no (k - 1, size) temporary
+    count = np.zeros(np.shape(x), dtype=np.intp)
+    for c in cum[:-1]:
+        count += c <= x
+    return count
 
 
 def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
@@ -255,7 +264,7 @@ def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
 
     Element i is drawn with probability <psi|E_i^dag E_i|psi>, one
     ``rng.random()`` double per draw. Deterministic for a fixed generator
-    state, and equal to ``size`` successive ``sample_element`` indices.
+    state.
     """
     v = psi.vector
     probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
@@ -263,16 +272,4 @@ def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
     total = probs.sum()
     if total <= 0.0:
         raise RuntimeError("all operation elements have zero probability")
-    idx = np.searchsorted(np.cumsum(probs), rng.random(size) * total, side="right")
-    return np.minimum(idx, len(ch) - 1)
-
-
-def sample_element(ch: KrausChannel, psi: PureQubit,
-                   rng: np.random.Generator) -> tuple[int, PureQubit]:
-    """Sample one operation element acting on a pure state.
-
-    The index is one ``sample_elements`` draw; the returned state is
-    E_i|psi> renormalized into canonical gauge.
-    """
-    idx = int(sample_elements(ch, psi, rng, 1)[0])
-    return idx, PureQubit.from_vector(ch.elements[idx] @ psi.vector)
+    return _count_at_most(np.cumsum(probs), rng.random(size) * total)

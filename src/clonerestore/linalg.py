@@ -13,6 +13,7 @@ import numpy as np
 ATOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)
+IDENTITY.flags.writeable = False
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

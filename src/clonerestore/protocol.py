@@ -11,7 +11,7 @@ three coincide, which is exactly the protocol's error-rate independence.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -32,11 +32,10 @@ from .core import (
     PAULI_Z,
     ErrorType,
     PureQubit,
-    _cached_error_channel,
     _check_plane,
+    _count_at_most,
     _read_only,
     error_probabilities,
-    sample_element,
     state_vector,
 )
 from .linalg import dagger
@@ -95,6 +94,12 @@ def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0) -> flo
     return total
 
 
+def _receiver_operator(alice: Outcome, bob: Outcome) -> np.ndarray:
+    """N = C U_b^dag E_b: the receiver's measurement, reversal and correction."""
+    est = estimation_elements()
+    return correction_unitary(alice, bob) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
+
+
 @lru_cache(maxsize=1)
 def _branch_bank() -> np.ndarray:
     """Stacked branch operators M[a, e, b] = C U_b^dag E_b P_e S_a.
@@ -105,18 +110,13 @@ def _branch_bank() -> np.ndarray:
     times the branch overlap, which collapses the enumeration into one
     contraction.
     """
-    est = estimation_elements()
+    sqrt_effects = estimation_elements().sqrt_effects
     bank = np.empty((4, 4, 4, 2, 2), dtype=complex)
     for alice in Outcome:
         for error in ErrorType:
             for bob in Outcome:
                 bank[alice, error, bob] = (
-                    correction_unitary(alice, bob)
-                    @ dagger(est.reversal_unitaries[bob])
-                    @ est.elements[bob]
-                    @ error.operator
-                    @ est.sqrt_effects[alice]
-                )
+                    _receiver_operator(alice, bob) @ error.operator @ sqrt_effects[alice])
     return _read_only(bank)
 
 
@@ -145,13 +145,12 @@ def mixed_input_fidelity(psi: PureQubit) -> float:
     comparison; the receiver runs the same measurement, reversal, and
     correction on I/2. Equals ``exact_fidelity`` for every input.
     """
-    est = estimation_elements()
     v = psi.vector
     total = 0.0
     for alice in Outcome:
         p_a = outcome_probability(psi, alice)
         for bob in Outcome:
-            op = correction_unitary(alice, bob) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
+            op = _receiver_operator(alice, bob)
             rho = op @ MAXIMALLY_MIXED @ dagger(op)
             total += p_a * float(np.real(np.vdot(v, rho @ v)))
     return total
@@ -160,11 +159,10 @@ def mixed_input_fidelity(psi: PureQubit) -> float:
 @lru_cache(maxsize=1)
 def _receiver_gram_bank() -> np.ndarray:
     """G[a, b] = N N^dag for the receiver branch operator N = C U_b^dag E_b."""
-    est = estimation_elements()
     bank = np.empty((4, 4, 2, 2), dtype=complex)
     for alice in Outcome:
         for bob in Outcome:
-            n = correction_unitary(alice, bob) @ dagger(est.reversal_unitaries[bob]) @ est.elements[bob]
+            n = _receiver_operator(alice, bob)
             bank[alice, bob] = n @ dagger(n)
     return _read_only(bank)
 
@@ -281,43 +279,23 @@ class MCResult:
     stderr: float
     trials: int
 
-
-def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
-                   rng: np.random.Generator) -> TrajectoryRecord:
-    """Sample one protocol run: outcomes, error, correction, overlap."""
-    est = estimation_elements()
-    a_idx, after_meas = sample_element(est.kraus, psi, rng)
-    alice = Outcome(a_idx)
-    sent = reverse(after_meas, alice)
-    e_idx, received = sample_element(_cached_error_channel(p_bit, p_ph), sent, rng)
-    error = ErrorType(e_idx)
-    b_idx, after_bob = sample_element(est.kraus, received, rng)
-    bob = Outcome(b_idx)
-    final = PureQubit.from_vector(correction_unitary(alice, bob) @ reverse(after_bob, bob).vector)
-    overlap = abs(np.vdot(psi.vector, final.vector)) ** 2
-    return TrajectoryRecord(alice, error, bob, final, overlap)
+    def z(self, exact: float) -> float:
+        """z-score of the mean against ``exact``; with a zero standard
+        error, 0 if the mean equals ``exact`` to 1e-12, else inf."""
+        if self.stderr > 0.0:
+            return (self.mean - exact) / self.stderr
+        return 0.0 if abs(self.mean - exact) <= 1e-12 else float("inf")
 
 
-def _count_at_most(cum, x):
-    """How many of cum[0], cum[1], cum[2] are <= x: the inverse-CDF draw.
+def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
+                     rngs: Iterable[np.random.Generator]
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one Monte Carlo sampler, with the arguments of ``mc_estimates``.
 
-    Equals ``searchsorted(cum, x, side="right")`` clamped to 3, because
-    cumulative probabilities never decrease.
-    """
-    return (cum[0] <= x).astype(np.intp) + (cum[1] <= x) + (cum[2] <= x)
-
-
-def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
-                 rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo means and standard errors for a stack of input states.
-
-    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
-    yields exactly one generator per vector and may be lazy. Each point
-    samples the same (alice, error, bob) chain as ``run_trajectory``,
-    drawing its trials at once from the exact conditional distributions
-    with three ``rng.random(trials)`` calls. The branch tables of all N
-    points come from one contraction; the trials are drawn point by
-    point. Deterministic for fixed generator states.
+    Yields, vector by vector, its 64 branch overlaps and ``trials`` branch
+    indices 16 alice + 4 error + bob, drawn from the exact conditional
+    distributions with three ``rng.random(trials)`` calls. The branch
+    tables of all N vectors come from one contraction.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -341,18 +319,45 @@ def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
     cond_bob = norms2 / p_alice[:, :, None, None]
     cum_bob = np.cumsum(cond_bob, axis=-1).reshape(len(v), 16, 4).transpose(0, 2, 1).copy()
 
-    means = np.empty(len(v))
-    stderrs = np.zeros(len(v))
     for n, rng in zip(range(len(v)), rngs, strict=True):
         a_draw = _count_at_most(cum_alice[n], rng.random(trials) * total_alice[n])
         row = 4 * a_draw + _count_at_most(cum_err, rng.random(trials))
         bob_rows = cum_bob[n].take(row, axis=1)
-        b_draw = _count_at_most(bob_rows, rng.random(trials) * bob_rows[3])
-        sample = overlaps[n].take(4 * row + b_draw)
-        means[n] = sample.mean()
-        if trials > 1:
-            stderrs[n] = sample.std(ddof=1) / np.sqrt(trials)
-    return means, stderrs
+        branches = _count_at_most(bob_rows, rng.random(trials) * bob_rows[3])
+        branches += 4 * row     # in place: no extra index array while the caller reduces
+        yield overlaps[n], branches
+
+
+def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
+                   rng: np.random.Generator) -> TrajectoryRecord:
+    """Sample one protocol run: outcomes, error, correction, overlap.
+
+    One trial of the ``mc_estimates`` sampler; ``final`` is the drawn
+    branch operator's action on psi, in canonical gauge.
+    """
+    v = psi.vector
+    overlaps, branches = next(_sample_branches(v[None], p_bit, p_ph, 1, (rng,)))
+    branch = int(branches[0])
+    a, e, b = branch // 16, branch // 4 % 4, branch % 4
+    final = PureQubit.from_vector(_branch_bank()[a, e, b] @ v)
+    return TrajectoryRecord(Outcome(a), ErrorType(e), Outcome(b), final, float(overlaps[branch]))
+
+
+def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
+                 rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means and standard errors for a stack of input states.
+
+    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
+    yields exactly one generator per vector and may be lazy. Each point
+    averages the overlaps of ``trials`` draws of ``run_trajectory``'s
+    sampler. Deterministic for fixed generator states.
+    """
+    means, stderrs = [], []
+    for overlaps, branches in _sample_branches(vectors, p_bit, p_ph, trials, rngs):
+        sample = overlaps.take(branches)
+        means.append(sample.mean())
+        stderrs.append(sample.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0)
+    return np.array(means), np.array(stderrs)
 
 
 def mc_estimate(psi: PureQubit, p_bit: float, p_ph: float, trials: int,

@@ -217,6 +217,7 @@ class TestSweep:
         ["bogus-command"],
         ["sweep", "--mode", "mc", "--seed", "-1"],
         ["sweep", "--pph", "nan"],
+        ["sweep", "--mode", "mc", "--trials", "1"],
     ])
     def test_usage_errors(self, argv):
         code, _, err = run_cli(argv)

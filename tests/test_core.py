@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonerestore.cloning import estimation_elements
+from clonerestore.linalg import haar_random_unitary
 from clonerestore.core import (
     MAXIMALLY_MIXED,
     PAULI_X,
@@ -18,7 +19,6 @@ from clonerestore.core import (
     fidelity,
     make_pure,
     reduce_qubit,
-    sample_element,
     sample_elements,
     state_vector,
 )
@@ -30,6 +30,18 @@ probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 channels = st.one_of(st.builds(error_channel, probabilities, probabilities),
                      st.just(estimation_elements().kraus))
+
+
+def weighted_unitaries(k, seed):
+    """A k-element channel sqrt(w_i) U_i: Haar unitaries with Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(k))
+    return KrausChannel(np.sqrt(weights)[:, None, None] * haar_random_unitary(rng, k))
+
+
+# channels with 1 to 6 elements, for the k-outcome inverse-CDF draw
+sampling_channels = st.one_of(
+    channels, st.builds(weighted_unitaries, st.integers(1, 6), st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -234,29 +246,30 @@ class TestKrausChannel:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
 
+def clamped_searchsorted_draw(ch, psi, rng, size):
+    """Reference inverse-CDF draw: searchsorted on the cumulative Born
+    probabilities, clamped to the last element."""
+    v = psi.vector
+    probs = np.clip(np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real, 0.0, None)
+    idx = np.searchsorted(np.cumsum(probs), rng.random(size) * probs.sum(), side="right")
+    return np.minimum(idx, len(ch) - 1)
+
+
 class TestSampleElement:
     def test_identity_channel(self):
         ch = KrausChannel(np.eye(2, dtype=complex)[None, :, :])
         rng = np.random.default_rng(0)
-        psi = make_pure(0.3, 1.0)
-        idx, out = sample_element(ch, psi, rng)
-        assert idx == 0
-        assert out == psi
+        np.testing.assert_array_equal(sample_elements(ch, make_pure(0.3, 1.0), rng, 20), 0)
 
     def test_deterministic_bit_flip(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            idx, out = sample_element(error_channel(1.0, 0.0), KET0, rng)
-            assert idx == 1
-            assert out == KET1
+        np.testing.assert_array_equal(sample_elements(error_channel(1.0, 0.0), KET0, rng, 20), 1)
 
     def test_seed_determinism(self):
         ch = estimation_elements().kraus
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(42)
-            runs.append([sample_element(ch, make_pure(0.3, 2.0), rng) for _ in range(50)])
-        assert runs[0] == runs[1]
+        runs = [sample_elements(ch, make_pure(0.3, 2.0), np.random.default_rng(42), 50)
+                for _ in range(2)]
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_frequencies_match_born_rule(self):
         n = 20000
@@ -264,28 +277,17 @@ class TestSampleElement:
         psi = make_pure(0.7, 0.9)
         v = psi.vector
         probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
-        rng = np.random.default_rng(8)
-        counts = np.zeros(4)
-        for _ in range(n):
-            idx, _ = sample_element(ch, psi, rng)
-            counts[idx] += 1
+        counts = np.bincount(sample_elements(ch, psi, np.random.default_rng(8), n), minlength=4)
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(counts / n - probs) <= 4 * sigma)
 
-    def test_post_state_is_renormalized_element_action(self):
-        ch = estimation_elements().kraus
-        rng = np.random.default_rng(5)
-        psi = make_pure(0.6, 0.5)
-        idx, out = sample_element(ch, psi, rng)
-        w = ch.elements[idx] @ psi.vector
-        np.testing.assert_allclose(out.vector, PureQubit.from_vector(w).vector, atol=1e-14)
-
     @pytest.mark.parametrize("ch", [estimation_elements().kraus, error_channel(0.3, 0.6)])
     def test_batched_matches_scalar(self, ch):
+        # one draw of n equals n draws of one from the same stream
         psi = make_pure(0.7, 0.9)
         batched_rng, scalar_rng = np.random.default_rng(21), np.random.default_rng(21)
         batched = sample_elements(ch, psi, batched_rng, 1000)
-        scalar = [sample_element(ch, psi, scalar_rng)[0] for _ in range(1000)]
+        scalar = [sample_elements(ch, psi, scalar_rng, 1)[0] for _ in range(1000)]
         np.testing.assert_array_equal(batched, scalar)
         assert batched_rng.random() == scalar_rng.random()
 
@@ -298,18 +300,15 @@ class TestCoreProperties:
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
-    @given(ch=channels, alpha2=probabilities, phi=phis, seed=st.integers(0, 2**32 - 1))
-    def test_sampled_state_is_normalised_in_canonical_gauge(self, ch, alpha2, phi, seed):
+    @given(ch=sampling_channels, alpha2=probabilities, phi=phis,
+           seed=st.integers(0, 2**32 - 1), size=st.integers(1, 200))
+    def test_sample_elements_match_clamped_searchsorted(self, ch, alpha2, phi, seed, size):
         psi = make_pure(alpha2, phi)
-        idx, out = sample_element(ch, psi, np.random.default_rng(seed))
-        assert out.alpha >= 0.0 and out.beta >= 0.0
-        assert out.alpha ** 2 + out.beta ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= out.phi < 2 * np.pi
-        if out.alpha == 0.0 or out.beta == 0.0:
-            assert out.phi == 0.0
-        # the drawn element's action on psi, up to a global phase
-        w = ch.elements[idx] @ psi.vector
-        assert abs(np.vdot(out.vector, w)) ** 2 / np.vdot(w, w).real == pytest.approx(1.0, abs=1e-12)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = sample_elements(ch, psi, rng, size)
+        assert drawn.dtype == np.intp
+        np.testing.assert_array_equal(drawn, clamped_searchsorted_draw(ch, psi, reference_rng, size))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestReduceQubit:

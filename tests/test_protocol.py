@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import protocol
+from clonerestore import linalg, protocol
 from clonerestore.cloning import (
     Outcome,
     estimation_elements,
@@ -349,6 +349,22 @@ class TestProtocolProperties:
     def test_reversed_fidelity_floor(self, alpha2, phi):
         assert reversed_fidelity(make_pure(alpha2, phi)) >= 5 / 6 - 1e-12
 
+    @given(alpha2=alpha2s, phi=phis, p_bit=probabilities, p_ph=probabilities,
+           seed=st.integers(0, 2**32 - 1))
+    def test_trajectory_final_in_canonical_gauge(self, alpha2, phi, p_bit, p_ph, seed):
+        psi = make_pure(alpha2, phi)
+        rec = run_trajectory(psi, p_bit, p_ph, np.random.default_rng(seed))
+        out = rec.final
+        assert out.alpha >= 0.0 and out.beta >= 0.0
+        assert out.alpha ** 2 + out.beta ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= out.phi < 2 * np.pi
+        if out.alpha == 0.0 or out.beta == 0.0:
+            assert out.phi == 0.0
+        # the drawn branch operator's action on psi, up to a global phase
+        w = protocol._branch_bank()[rec.alice, rec.error, rec.bob] @ psi.vector
+        assert abs(np.vdot(out.vector, w)) ** 2 / np.vdot(w, w).real == pytest.approx(1.0, abs=1e-12)
+        assert rec.overlap == pytest.approx(abs(np.vdot(psi.vector, out.vector)) ** 2, abs=1e-12)
+
 
 class TestSharedArrays:
     def test_in_place_writes_raise(self):
@@ -357,7 +373,7 @@ class TestSharedArrays:
         shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
                   est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
                   ch.elements, ch.effects, protocol._branch_bank(), protocol._receiver_gram_bank(),
-                  protocol._PAULI_BASIS,
+                  protocol._PAULI_BASIS, linalg.IDENTITY,
                   *(correction_unitary(a, b) for a in Outcome for b in Outcome)]
         for arr in shared:
             before = arr.copy()
@@ -373,6 +389,29 @@ class TestSharedArrays:
 
 
 class TestRunTrajectory:
+    @pytest.mark.parametrize("p_bit, p_ph", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.6)])
+    def test_one_trial_of_the_mc_sampler(self, p_bit, p_ph):
+        for k, (a2, phi) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.5, np.pi / 2), (0.3, 2.0)]):
+            psi = make_pure(a2, phi)
+            rng, sampler_rng = np.random.default_rng(60 + k), np.random.default_rng(60 + k)
+            for _ in range(20):
+                rec = run_trajectory(psi, p_bit, p_ph, rng)
+                overlaps, branches = next(protocol._sample_branches(
+                    psi.vector[None], p_bit, p_ph, 1, (sampler_rng,)))
+                assert 16 * rec.alice + 4 * rec.error + rec.bob == branches[0]
+                assert rec.overlap == overlaps[branches[0]]
+                assert rng.bit_generator.state == sampler_rng.bit_generator.state
+
+    def test_final_is_the_branch_state(self):
+        # the constructive route: measure, reverse, error, measure, reverse, correct
+        rng = np.random.default_rng(6)
+        for a2, phi in [(1.0, 0.0), (0.6, 0.5), (0.2, 4.0)]:
+            psi = make_pure(a2, phi)
+            for _ in range(20):
+                rec = run_trajectory(psi, 0.4, 0.7, rng)
+                _, final = branch_statistics(psi, rec.alice, rec.error, rec.bob)
+                np.testing.assert_allclose(rec.final.vector, final.vector, atol=1e-12)
+
     def test_seed_determinism(self):
         psi = make_pure(0.4, 2.2)
         a = run_trajectory(psi, 0.3, 0.6, np.random.default_rng(77))
