@@ -100,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=_positive_float, default=None,
                         help="override tolerance for the deviation-based invariants")
     verify.add_argument("--seed", type=_seed, default=0, help="seed for the randomized invariants")
+    verify.add_argument("--json", action="store_true",
+                        help="print one JSON object per invariant, with its wall time")
 
     mc = sub.add_parser("mc", help="Monte Carlo run at one state, checked against the exact value")
     mc.add_argument("--alpha2", type=_probability, default=1.0, help="population of |0>")
@@ -181,7 +183,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_checks(tol=args.tol, seed=args.seed)
-    for line in report.lines():
+    for line in report.json_lines() if args.json else report.lines():
         print(line)
     return 0 if report.passed else 1
 

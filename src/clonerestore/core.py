@@ -8,8 +8,10 @@ helpers that enforce the invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Integral
 
 import numpy as np
 
@@ -48,7 +50,7 @@ class PureQubit:
 
     def __post_init__(self):
         a, b, p = float(self.alpha), float(self.beta), float(self.phi)
-        if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(p)):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(p)):
             raise ValueError("state parameters must be finite")
         if a < 0.0 or b < 0.0:
             raise ValueError("amplitudes must be nonnegative")
@@ -81,10 +83,18 @@ class PureQubit:
         """Canonicalize a complex 2-vector into the fixed gauge.
 
         The vector is renormalized and multiplied by the phase that makes
-        its first nonzero amplitude real and nonnegative.
+        its first nonzero amplitude real and nonnegative. Raises ValueError
+        for a zero vector, a non-finite entry or a norm that overflows.
         """
         v = np.asarray(v, dtype=complex).reshape(2)
-        n = float(np.linalg.norm(v))
+        # the operations of np.linalg.norm and np.angle, without their wrappers
+        re, im = v.real, v.imag
+        n = math.sqrt(re.dot(re) + im.dot(im))
+        if not math.isfinite(n):
+            # a square is never negative, so a non-finite entry always lands here
+            if np.isfinite(v).all():
+                raise ValueError("vector norm overflows")
+            raise ValueError("vector must be finite")
         if n <= GAUGE_ATOL:
             raise ValueError("cannot canonicalize a zero vector")
         a = abs(v[0]) / n
@@ -93,7 +103,7 @@ class PureQubit:
             return cls(0.0, 1.0, 0.0)
         if b <= GAUGE_ATOL:
             return cls(1.0, 0.0, 0.0)
-        phi = float(np.angle(v[1]) - np.angle(v[0]))
+        phi = float(np.arctan2(im[1], re[1]) - np.arctan2(im[0], re[0]))
         return cls(a, b, phi)
 
 
@@ -200,6 +210,14 @@ def _check_probability(p: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
+def _check_count(n: int, name: str, minimum: int) -> None:
+    """Raise ValueError unless n is an integer, not a bool, and n >= minimum."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {n}")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Trace-preserving channel given by operation elements E_i.
@@ -263,9 +281,10 @@ def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
     """Sample ``size`` independent operation-element indices for one state.
 
     Element i is drawn with probability <psi|E_i^dag E_i|psi>, one
-    ``rng.random()`` double per draw. Deterministic for a fixed generator
-    state.
+    ``rng.random()`` double per draw. Raises ValueError unless ``size`` is
+    an integer >= 0. Deterministic for a fixed generator state.
     """
+    _check_count(size, "size", 0)
     v = psi.vector
     probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
     np.clip(probs, 0.0, None, out=probs)

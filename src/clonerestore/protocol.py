@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .core import (
     PAULI_Z,
     ErrorType,
     PureQubit,
+    _check_count,
     _check_plane,
     _count_at_most,
     _read_only,
@@ -54,6 +54,26 @@ def correction_unitary(alice: Outcome, bob: Outcome) -> np.ndarray:
     return _ERROR_OPERATORS[ErrorType(int(bit_differs) + 2 * int(sign_differs))]
 
 
+def _sender_state(psi: PureQubit, alice: Outcome) -> np.ndarray:
+    """Alice's half of a branch: the vector she sends after her
+    measurement and reversal. It does not depend on the error or on Bob."""
+    return reverse(post_measurement_state(psi, alice), alice).vector
+
+
+def _receiver_half(w: np.ndarray, bob: Outcome, correction: np.ndarray,
+                   reversal_adjoint: np.ndarray) -> tuple[float, PureQubit]:
+    """Bob's half of a branch, given the vector w = P_e @ sent he receives.
+
+    ``reversal_adjoint`` is dagger(U_bob) and ``correction`` the
+    comparison correction of the branch. Returns (P(bob | alice, error),
+    corrected state).
+    """
+    est = estimation_elements()
+    prob = float(np.real(np.vdot(w, est.effects[bob] @ w)))
+    final = correction @ (reversal_adjoint @ (est.elements[bob] @ w))
+    return prob, PureQubit.from_vector(final)
+
+
 def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
                       bob: Outcome) -> tuple[float, PureQubit]:
     """One protocol branch: Bob's outcome probability and the final state.
@@ -63,32 +83,33 @@ def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
     reversed on the receiver side with the comparison correction
     applied last. Returns (P(bob | alice, error), corrected state).
     """
-    est = estimation_elements()
-    after_alice = reverse(post_measurement_state(psi, alice), alice)
-    w = error.operator @ after_alice.vector
-    prob = float(np.real(np.vdot(w, est.effects[bob] @ w)))
-    u = est.elements[bob] @ w
-    final = correction_unitary(alice, bob) @ (dagger(est.reversal_unitaries[bob]) @ u)
-    return prob, PureQubit.from_vector(final)
+    w = error.operator @ _sender_state(psi, alice)
+    return _receiver_half(w, bob, correction_unitary(alice, bob),
+                          dagger(estimation_elements().reversal_unitaries[bob]))
 
 
 def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0) -> float:
     """Input-output fidelity by full enumeration of all 64 branches.
 
     Weights each (alice outcome, error, bob outcome) branch by its joint
-    probability and accumulates the overlap with the input state. The
-    result does not depend on the error rates.
+    probability and accumulates the overlap with the input state. Each
+    branch is ``branch_statistics``, with Alice's half computed once per
+    outcome. The result does not depend on the error rates.
     """
     v = psi.vector
     perr = error_probabilities(p_bit, p_ph)
+    adjoints = [dagger(u) for u in estimation_elements().reversal_unitaries]
     total = 0.0
     for alice in Outcome:
         p_a = outcome_probability(psi, alice)
+        sent = _sender_state(psi, alice)
+        corrections = [correction_unitary(alice, bob) for bob in Outcome]
         for error in ErrorType:
             if perr[error] == 0.0:
                 continue
+            w = error.operator @ sent
             for bob in Outcome:
-                p_b, final = branch_statistics(psi, alice, error, bob)
+                p_b, final = _receiver_half(w, bob, corrections[bob], adjoints[bob])
                 overlap = abs(np.vdot(v, final.vector)) ** 2
                 total += p_a * perr[error] * p_b * overlap
     return total
@@ -198,24 +219,20 @@ def baseline_fidelity_plane(alpha2, phi=None) -> np.ndarray | float:
 
 def alpha2_grid(n_alpha: int) -> np.ndarray:
     """Uniform grid on [0, 1] including both endpoints."""
-    if n_alpha < 2:
-        raise ValueError("n_alpha must be at least 2")
+    _check_count(n_alpha, "n_alpha", 2)
     return np.linspace(0.0, 1.0, n_alpha)
 
 
 def phi_grid(n_phi: int) -> np.ndarray:
     """Uniform grid on [0, 2*pi) excluding the right endpoint."""
-    if n_phi < 1:
-        raise ValueError("n_phi must be at least 1")
+    _check_count(n_phi, "n_phi", 1)
     return 2.0 * np.pi * np.arange(n_phi) / n_phi
 
 
 def grid_average(values: np.ndarray, n_alpha: int, n_phi: int) -> float:
     """Average grid values with trapezoid weights in alpha2, uniform in phi."""
-    if n_alpha < 2:
-        raise ValueError("n_alpha must be at least 2")
-    if n_phi < 1:
-        raise ValueError("n_phi must be at least 1")
+    _check_count(n_alpha, "n_alpha", 2)
+    _check_count(n_phi, "n_phi", 1)
     values = np.asarray(values, dtype=float).reshape(n_alpha, n_phi)
     w = np.ones(n_alpha)
     w[0] = w[-1] = 0.5
@@ -241,8 +258,7 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
     # command of the CLI needs
     from fractions import Fraction
 
-    if isinstance(scale2, bool) or not isinstance(scale2, Integral) or scale2 < 1:
-        raise ValueError("scale2 must be a positive integer")
+    _check_count(scale2, "scale2", 1)
     m = np.asarray(ops, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (2, 2):
         raise ValueError("ops must have shape (..., 2, 2)")
@@ -297,8 +313,7 @@ def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     distributions with three ``rng.random(trials)`` calls. The branch
     tables of all N vectors come from one contraction.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count(trials, "trials", 1)
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("vectors must have shape (N, 2)")

@@ -8,7 +8,9 @@ override applies only to the deviation-based checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,6 +44,7 @@ class InvariantResult:
     tolerance: float
     passed: bool
     statistical: bool = False
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,18 @@ class VerifyReport:
             )
         n_pass = sum(r.passed for r in self.results)
         out.append(f"verify: {n_pass}/{len(self.results)} invariants passed")
+        return out
+
+    def json_lines(self) -> list[str]:
+        """One JSON object per invariant; a deviation that is not finite is null."""
+        import json  # only --json needs it; the other commands skip its import
+
+        out = []
+        for r in self.results:
+            fields = asdict(r)
+            if not math.isfinite(r.deviation):
+                fields["deviation"] = None
+            out.append(json.dumps(fields))
         return out
 
 
@@ -429,14 +444,19 @@ def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
     ``tol`` overrides the tolerance of the deviation-based checks only;
-    statistical checks always use their z-score threshold.
+    statistical checks always use their z-score threshold. ``seed`` must
+    be an integer >= 0. Each result records its check's wall time.
     """
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    core._check_count(seed, "seed", 0)
     results = []
     for name, fn, default_tol, statistical in _CHECKS:
         rng = np.random.default_rng(np.random.SeedSequence((seed, len(results))))
         tolerance = default_tol if (statistical or tol is None) else tol
+        start = time.perf_counter()
         deviation = float(fn(rng))
-        results.append(InvariantResult(name, deviation, tolerance, deviation <= tolerance, statistical))
+        seconds = time.perf_counter() - start
+        results.append(InvariantResult(name, deviation, tolerance, deviation <= tolerance,
+                                       statistical, seconds))
     return VerifyReport(tuple(results))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -287,6 +288,41 @@ class TestVerify:
             assert "--tol" in err
             with pytest.raises(ValueError, match="tol"):
                 run_checks(tol=float(tol))
+        # the seed is checked beside tol, before numpy's SeedSequence sees it
+        for seed in (-1, 1.5, True, "0"):
+            with pytest.raises(ValueError, match="seed"):
+                run_checks(seed=seed)
+
+    def test_json_matches_text(self):
+        code, text, _ = run_cli(["verify", "--seed", "4"])
+        json_code, out, err = run_cli(["verify", "--seed", "4", "--json"])
+        assert (json_code, err) == (code, "") == (0, "")
+        records = [json.loads(line) for line in out.strip().split("\n")]
+        rows = [line.split() for line in text.strip().split("\n")[:-1]]
+        assert len(records) == len(rows) == 21
+        for rec, (status, name, dev, tol) in zip(records, rows):
+            assert set(rec) == {"name", "deviation", "tolerance", "passed", "statistical",
+                                "seconds"}
+            assert rec["name"] == name
+            unit = "z" if rec["statistical"] else "dev"
+            assert f"{unit}={rec['deviation']:.3e}" == dev
+            assert f"tol={rec['tolerance']:.1e}" == tol
+            assert rec["passed"] is (status == "PASS")
+            assert rec["seconds"] >= 0.0
+
+    def test_json_failed_run_is_strict_json(self, swapped_rule):
+        code, out, _ = run_cli(["verify", "--json"])
+        assert code == 1
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        records = [json.loads(line, parse_constant=reject) for line in out.strip().split("\n")]
+        failed = {rec["name"]: rec["deviation"] for rec in records if not rec["passed"]}
+        assert sorted(failed) == ["exact-analytic-mixed-agreement", "fidelity-floor-and-exceptions",
+                                  "outcome-agreement-identities", "plane-averages"]
+        # its deviation is inf, which JSON cannot write
+        assert failed["fidelity-floor-and-exceptions"] is None
 
     def test_negative_seed_rejected(self):
         code, _, err = run_cli(["verify", "--seed", "-1"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clonerestore.cloning import estimation_elements
 from clonerestore.linalg import haar_random_unitary
 from clonerestore.core import (
+    GAUGE_ATOL,
     MAXIMALLY_MIXED,
     PAULI_X,
     PAULI_Z,
@@ -52,6 +53,38 @@ def density_matrices(draw):
     phi = draw(phis)
     x, y, z = r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta)
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+
+
+def norm_angle_from_vector(v):
+    """``PureQubit.from_vector`` as written with np.linalg.norm and
+    np.angle, kept to pin the bits of the unwrapped form."""
+    v = np.asarray(v, dtype=complex).reshape(2)
+    n = float(np.linalg.norm(v))
+    if n <= GAUGE_ATOL:
+        raise ValueError("cannot canonicalize a zero vector")
+    a = abs(v[0]) / n
+    b = abs(v[1]) / n
+    if a <= GAUGE_ATOL:
+        return PureQubit(0.0, 1.0, 0.0)
+    if b <= GAUGE_ATOL:
+        return PureQubit(1.0, 0.0, 0.0)
+    phi = float(np.angle(v[1]) - np.angle(v[0]))
+    return PureQubit(a, b, phi)
+
+
+def bits(psi):
+    """The exact bits of a state's parameters; float.hex tells -0.0 from 0.0."""
+    return tuple(float(x).hex() for x in (psi.alpha, psi.beta, psi.phi))
+
+
+# exact zeros, amplitudes at the gauge threshold, and ordinary ones
+amplitude_parts = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(min_value=0.25 * GAUGE_ATOL, max_value=4 * GAUGE_ATOL).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+complex_vectors = st.lists(st.builds(complex, amplitude_parts, amplitude_parts),
+                           min_size=2, max_size=2).map(np.array)
 
 
 def random_density(rng):
@@ -116,6 +149,17 @@ class TestPureQubit:
     def test_from_vector_zero_rejected(self):
         with pytest.raises(ValueError):
             PureQubit.from_vector(np.zeros(2))
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0],
+                                   [1.0, complex(0.0, np.inf)]])
+    def test_from_vector_nonfinite_rejected(self, v):
+        with pytest.raises(ValueError, match="vector must be finite"):
+            PureQubit.from_vector(np.array(v))
+
+    def test_from_vector_norm_overflow_rejected(self):
+        # every entry is finite, but the squared norm is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+            PureQubit.from_vector(np.array([1e200, 0.0]))
 
     @given(
         alpha2=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
@@ -291,8 +335,26 @@ class TestSampleElement:
         np.testing.assert_array_equal(batched, scalar)
         assert batched_rng.random() == scalar_rng.random()
 
+    def test_size_domain(self):
+        ch = estimation_elements().kraus
+        assert sample_elements(ch, KET0, np.random.default_rng(0), 0).shape == (0,)
+        for size in (2.5, True, -1, "3"):
+            with pytest.raises(ValueError, match="size"):
+                sample_elements(ch, KET0, np.random.default_rng(0), size)
+
 
 class TestCoreProperties:
+    @given(v=complex_vectors)
+    @settings(max_examples=300)
+    def test_from_vector_matches_norm_angle_form(self, v):
+        try:
+            expected = bits(norm_angle_from_vector(v))
+        except ValueError:
+            with pytest.raises(ValueError, match="zero vector"):
+                PureQubit.from_vector(v)
+            return
+        assert bits(PureQubit.from_vector(v)) == expected
+
     @given(ch=channels, rho=density_matrices())
     def test_channel_output_is_a_density_matrix(self, ch, rho):
         out = apply_channel(ch, rho)

@@ -9,6 +9,9 @@ from clonerestore import linalg, protocol
 from clonerestore.cloning import (
     Outcome,
     estimation_elements,
+    outcome_probability,
+    post_measurement_state,
+    reverse,
     reversed_fidelity,
     reversed_fidelity_plane,
 )
@@ -20,6 +23,7 @@ from clonerestore.core import (
     KrausChannel,
     PureQubit,
     error_channel,
+    error_probabilities,
     make_pure,
 )
 from clonerestore.protocol import (
@@ -105,6 +109,46 @@ def oracle_exact_fidelity(v, p_bit, p_ph):
     return total
 
 
+def stepwise_branch_statistics(psi, alice, error, bob):
+    """``branch_statistics`` with the whole sender step in every branch,
+    kept to pin the bits of the split into sender and receiver halves."""
+    est = estimation_elements()
+    after_alice = reverse(post_measurement_state(psi, alice), alice)
+    w = error.operator @ after_alice.vector
+    prob = float(np.real(np.vdot(w, est.effects[bob] @ w)))
+    u = est.elements[bob] @ w
+    final = protocol.correction_unitary(alice, bob) @ (linalg.dagger(est.reversal_unitaries[bob]) @ u)
+    return prob, PureQubit.from_vector(final)
+
+
+def per_branch_exact_fidelity(psi, p_bit, p_ph):
+    """``exact_fidelity`` as one ``stepwise_branch_statistics`` call per branch."""
+    v = psi.vector
+    perr = error_probabilities(p_bit, p_ph)
+    total = 0.0
+    for alice in Outcome:
+        p_a = outcome_probability(psi, alice)
+        for error in ErrorType:
+            if perr[error] == 0.0:
+                continue
+            for bob in Outcome:
+                p_b, final = stepwise_branch_statistics(psi, alice, error, bob)
+                overlap = abs(np.vdot(v, final.vector)) ** 2
+                total += p_a * perr[error] * p_b * overlap
+    return total
+
+
+# the poles, the two exception points and random states
+BIT_PIN_STATES = [(1.0, 0.0), (0.0, 0.0), (0.5, np.pi / 2), (0.5, 3 * np.pi / 2),
+                  *((a2, 2 * np.pi * phi) for a2, phi in np.random.default_rng(30).random((16, 2)))]
+BIT_PIN_RATES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                 *map(tuple, np.random.default_rng(31).random((2, 2)))]
+
+
+def float_bits(*xs):
+    return tuple(float(x).hex() for x in xs)
+
+
 class TestCorrectionUnitary:
     def test_agreement_is_identity(self):
         np.testing.assert_array_equal(
@@ -145,6 +189,17 @@ class TestBranchStatistics:
                 assert p == pytest.approx(p0, abs=1e-12)
                 assert np.max(np.abs(s.vector - s0.vector)) < 1e-12
 
+    def test_bits_match_stepwise_branch(self):
+        for a2, phi in BIT_PIN_STATES:
+            psi = make_pure(a2, phi)
+            for alice in Outcome:
+                for error in ErrorType:
+                    for bob in Outcome:
+                        p, s = branch_statistics(psi, alice, error, bob)
+                        p_ref, s_ref = stepwise_branch_statistics(psi, alice, error, bob)
+                        assert float_bits(p, s.alpha, s.beta, s.phi) == float_bits(
+                            p_ref, s_ref.alpha, s_ref.beta, s_ref.phi)
+
     def test_swapped_rule_breaks_state_identity(self, swapped_rule):
         psi = make_pure(0.7, 1.1)
         _, s0 = branch_statistics(psi, Outcome.PLUS_0, ErrorType.NO_ERROR, Outcome.PLUS_0)
@@ -173,6 +228,19 @@ class TestExactFidelity:
             p_bit, p_ph = rng.random(), rng.random()
             assert exact_fidelity(psi, p_bit, p_ph) == pytest.approx(
                 oracle_exact_fidelity(psi.vector, p_bit, p_ph), abs=1e-12)
+
+    def test_bits_match_per_branch_enumeration(self):
+        for a2, phi in BIT_PIN_STATES:
+            psi = make_pure(a2, phi)
+            for p_bit, p_ph in BIT_PIN_RATES:
+                assert float_bits(exact_fidelity(psi, p_bit, p_ph)) == float_bits(
+                    per_branch_exact_fidelity(psi, p_bit, p_ph))
+
+    def test_swapped_rule_bits_match_per_branch_enumeration(self, swapped_rule):
+        # the rule is looked up on every call, not cached across calls
+        psi = make_pure(0.7, 1.1)
+        assert float_bits(exact_fidelity(psi, 0.3, 0.6)) == float_bits(
+            per_branch_exact_fidelity(psi, 0.3, 0.6))
 
     def test_plane_matches_scalar(self):
         rng = np.random.default_rng(14)
@@ -246,6 +314,18 @@ class TestPlaneAverage:
             alpha2_grid(1)
         with pytest.raises(ValueError, match="n_phi must be at least 1"):
             phi_grid(0)
+        # a count must be an integer: 2.5 points is no grid, and True is not 1
+        for n in (2.5, 3.0, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="n_alpha must be an integer"):
+                alpha2_grid(n)
+            with pytest.raises(ValueError, match="n_phi must be an integer"):
+                phi_grid(n)
+            with pytest.raises(ValueError, match="n_alpha must be an integer"):
+                grid_average(np.ones(9), n, 3)
+            with pytest.raises(ValueError, match="n_phi must be an integer"):
+                grid_average(np.ones(9), 3, n)
+        np.testing.assert_array_equal(alpha2_grid(np.int64(3)), alpha2_grid(3))
+        np.testing.assert_array_equal(phi_grid(np.int32(3)), phi_grid(3))
 
     def test_grid_conventions(self):
         a = alpha2_grid(5)
@@ -484,6 +564,9 @@ class TestMcEstimate:
     def test_trials_domain(self):
         with pytest.raises(ValueError):
             mc_estimate(KET0, 0.0, 0.0, 0, np.random.default_rng(0))
+        for trials in (2.5, True, 100.0, "10"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                mc_estimate(KET0, 0.0, 0.0, trials, np.random.default_rng(0))
 
 
 def _reference_mc(psi, p_bit, p_ph, trials, rng):
@@ -543,8 +626,9 @@ class TestMcEstimates:
 
     def test_input_contract(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="trials"):
-            mc_estimates(KET0.vector[None], 0.0, 0.0, 0, [rng])
+        for trials in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="trials"):
+                mc_estimates(KET0.vector[None], 0.0, 0.0, trials, [rng])
         for vectors in (KET0.vector, np.ones((1, 3)), np.zeros((1, 2)), [[1.0, 1.0]],
                         [[np.nan, 0.0]]):
             with pytest.raises(ValueError, match="vectors"):
