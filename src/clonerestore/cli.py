@@ -15,7 +15,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import protocol
-from .core import make_pure
+from .core import make_pure, state_vector
 from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
@@ -120,13 +120,13 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     the mode's evaluator, the column the ``# average=`` line averages
     except in mc mode, where it is the third (``f_mc``).
     """
+    if args.mode == "baseline":
+        baseline = protocol.baseline_fidelity_plane(aa, pp)
+        return [baseline, baseline]
     shape = (aa.shape[0], pp.shape[1])
     analytic = np.broadcast_to(protocol.analytic_fidelity(aa, pp), shape)
     if args.mode == "analytic":
         return [analytic, analytic]
-    if args.mode == "baseline":
-        baseline = np.broadcast_to(protocol.baseline_fidelity_plane(aa, pp), shape)
-        return [baseline, baseline]
     if args.mode == "mixed":
         return [protocol.mixed_input_fidelity_plane(aa, pp), analytic]
     exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
@@ -137,7 +137,8 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     # one mc_estimates call per alpha^2 row: its branch tables are built
     # together, and the lazy generators keep one point's stream alive at a time
     for di, a2 in enumerate(aa[:, 0]):
-        vectors = np.stack([make_pure(a2, phi).vector for phi in pp[0]])
+        # make_pure's gauge, bit for bit: the phase is 0 at the poles
+        vectors = state_vector(a2, pp[0] if 0.0 < a2 < 1.0 else np.zeros(shape[1]))
         rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
                 for j in range(shape[1]))
         f_mc[di], mc_err[di] = protocol.mc_estimates(vectors, args.pbit, args.pph,
@@ -166,7 +167,7 @@ def _write_sweep(args, fh) -> None:
         averaged[lo:lo + len(block)] = cols[2 if args.mode == "mc" else 0]
         template = "".join(_fmt(a2).join(phi_pieces) for a2 in block)
         fh.write(template % tuple(np.stack(cols, axis=-1).ravel().tolist()))
-    average = protocol.grid_average(averaged, len(alpha2s), len(phis))
+    average = protocol.grid_average(averaged)
     fh.write(f"# average={_fmt(average)}\n")
 
 

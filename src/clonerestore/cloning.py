@@ -105,7 +105,7 @@ _ELEMENTS = np.array(
 
 
 @dataclass(frozen=True)
-class EstimationChannel:
+class EstimationChannel(KrausChannel):
     """The estimation measurement with its per-outcome reversal unitaries.
 
     ``reversal_unitaries`` holds the unitary polar factors of the
@@ -114,27 +114,19 @@ class EstimationChannel:
     signal. ``sqrt_effects`` caches those Hermitian PSD square roots.
     """
 
-    kraus: KrausChannel
     reversal_unitaries: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         reversals = np.array(self.reversal_unitaries, dtype=complex)
-        sqrt_effects = np.einsum("aji,ajk->aik", reversals.conj(), self.kraus.elements)
-        for i in range(len(self.kraus)):
-            if not is_unitary(reversals[i], ATOL):
+        sqrt_effects = np.einsum("aji,ajk->aik", reversals.conj(), self.elements)
+        for i in range(len(self)):
+            if not is_unitary(reversals[i]):
                 raise ValueError(f"reversal matrix {i} is not unitary")
             if not is_psd(sqrt_effects[i], ATOL):
                 raise ValueError(f"reversal {i} does not leave a PSD factor")
         object.__setattr__(self, "reversal_unitaries", _read_only(reversals))
         object.__setattr__(self, "sqrt_effects", _read_only(sqrt_effects))
-
-    @property
-    def elements(self) -> np.ndarray:
-        return self.kraus.elements
-
-    @property
-    def effects(self) -> np.ndarray:
-        return self.kraus.effects
 
 
 @lru_cache(maxsize=1)
@@ -148,7 +140,7 @@ def estimation_elements() -> EstimationChannel:
     if np.max(np.abs(constructed - _ELEMENTS)) > ATOL:
         raise RuntimeError("closed-form elements disagree with the projective construction")
     reversals = np.stack([nearest_unitary(e) for e in _ELEMENTS])
-    return EstimationChannel(KrausChannel(_ELEMENTS), reversals)
+    return EstimationChannel(_ELEMENTS, reversals)
 
 
 def outcome_probability(psi: PureQubit, outcome: Outcome) -> float:

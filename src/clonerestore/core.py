@@ -117,7 +117,7 @@ def make_pure(alpha2: float, phi: float) -> PureQubit:
     return PureQubit(np.sqrt(alpha2), np.sqrt(1.0 - alpha2), phi)
 
 
-def _check_plane(alpha2, phi=None) -> tuple[np.ndarray, np.ndarray | None]:
+def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
     """Validate state-plane coordinates; returns them as float arrays.
 
     Every alpha2 must lie in [0, 1] and every phi must be finite; NaN
@@ -126,10 +126,9 @@ def _check_plane(alpha2, phi=None) -> tuple[np.ndarray, np.ndarray | None]:
     alpha2 = np.asarray(alpha2, dtype=float)
     if not np.all((alpha2 >= 0.0) & (alpha2 <= 1.0)):
         raise ValueError("alpha2 must lie in [0, 1]")
-    if phi is not None:
-        phi = np.asarray(phi, dtype=float)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi must be finite")
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi must be finite")
     return alpha2, phi
 
 
@@ -142,17 +141,16 @@ def state_vector(alpha2, phi) -> np.ndarray:
     return np.stack([np.sqrt(a) + 0j, np.sqrt(1.0 - a) * np.exp(1j * ph)], axis=-1)
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = ATOL,
-                         trace_tol: float = ATOL, psd_tol: float = 1e-10) -> np.ndarray:
-    """Validate a 2x2 density matrix; returns it as a complex ndarray."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate a 2x2 density matrix to ATOL, PSD to 1e-10; returns it as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if not is_hermitian(rho, herm_tol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
         raise ValueError("density matrix does not have unit trace")
-    if not is_psd(rho, psd_tol):
+    if not is_psd(rho, 1e-10):
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 

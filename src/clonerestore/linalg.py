@@ -36,9 +36,9 @@ def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(a - dagger(a))) <= tol)
 
 
-def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
-    return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= tol)
+    return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
 
 
 def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
@@ -68,7 +68,7 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return (a + s * IDENTITY) / denom
 
 
-def polar_decompose(e: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor e = u @ p with u unitary and p = sqrt(e^dag e) Hermitian PSD.
 
     Raises ValueError for (numerically) singular input: the unitary
@@ -76,7 +76,7 @@ def polar_decompose(e: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.nd
     """
     e = np.asarray(e, dtype=complex)
     det = det2(e)
-    if abs(det) <= tol:
+    if abs(det) <= ATOL:
         raise ValueError("degenerate input: polar decomposition requires an invertible matrix")
     # With singular values s1, s2: |det e| (e^-1)^dag = (det e/|det e|) adj(e)^dag,
     # e + |det e| (e^-1)^dag = (s1 + s2) u and (s1 + s2)^2 = |e|_F^2 + 2 |det e|.
@@ -88,13 +88,13 @@ def polar_decompose(e: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.nd
     return u, 0.5 * (h + dagger(h))
 
 
-def nearest_unitary(e: np.ndarray, tol: float = ATOL) -> np.ndarray:
+def nearest_unitary(e: np.ndarray) -> np.ndarray:
     """The unitary closest to e in Hilbert-Schmidt distance.
 
     This is the unitary factor of the polar decomposition, equal to the
     product of the two unitaries in the singular value decomposition.
     """
-    u, _ = polar_decompose(e, tol)
+    u, _ = polar_decompose(e)
     return u
 
 
@@ -107,9 +107,9 @@ def haar_random_unitary(rng: np.random.Generator, size: int | None = None) -> np
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_invertible(rng: np.random.Generator, min_abs_det: float = 0.05) -> np.ndarray:
-    """Complex Gaussian 2x2 matrix, resampled until safely invertible."""
+def random_invertible(rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian 2x2 matrix, resampled until |det| >= 0.05."""
     while True:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(det2(g)) >= min_abs_det:
+        if abs(det2(g)) >= 0.05:
             return g

@@ -198,22 +198,14 @@ def mixed_input_fidelity_plane(alpha2, phi) -> np.ndarray:
     return 0.5 * np.einsum("...a,...ab->...", p_alice, vals)
 
 
-def baseline_direct_fidelity(psi: PureQubit) -> float:
-    """Fidelity of the measure-and-prepare baseline.
+def baseline_fidelity_plane(alpha2, phi) -> np.ndarray | float:
+    """Measure-and-prepare baseline over broadcast (alpha2, phi) arrays.
 
     The sender measures in the computational basis and the receiver
-    prepares the observed basis state: alpha^4 + beta^4.
+    prepares the observed basis state: alpha^4 + beta^4, whatever phi.
     """
-    a2 = psi.alpha2
-    return a2 * a2 + (1.0 - a2) * (1.0 - a2)
-
-
-def baseline_fidelity_plane(alpha2, phi=None) -> np.ndarray | float:
-    """Vectorized baseline fidelity; the phase argument is ignored."""
-    alpha2, phi = _check_plane(alpha2, phi)
+    alpha2, _ = np.broadcast_arrays(*_check_plane(alpha2, phi))
     out = alpha2 ** 2 + (1.0 - alpha2) ** 2
-    if phi is not None:
-        out = np.broadcast_arrays(out, phi)[0].copy()
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,14 +221,18 @@ def phi_grid(n_phi: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_phi) / n_phi
 
 
-def grid_average(values: np.ndarray, n_alpha: int, n_phi: int) -> float:
-    """Average grid values with trapezoid weights in alpha2, uniform in phi."""
-    _check_count(n_alpha, "n_alpha", 2)
-    _check_count(n_phi, "n_phi", 1)
-    values = np.asarray(values, dtype=float).reshape(n_alpha, n_phi)
-    w = np.ones(n_alpha)
+def grid_average(values: np.ndarray) -> float:
+    """Average an (alpha2, phi) grid: trapezoid weights over rows, uniform over columns.
+
+    Raises ValueError unless values is 2-D with at least 2 alpha2 rows
+    and 1 phi column.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 1:
+        raise ValueError("values must be a 2-D grid of at least 2 alpha2 rows and 1 phi column")
+    w = np.ones(len(values))
     w[0] = w[-1] = 0.5
-    return float(w @ values.mean(axis=1) / (n_alpha - 1))
+    return float(w @ values.mean(axis=1) / (len(values) - 1))
 
 
 # Pauli basis (I, X, Y, Z): |v><v| = sum_k r_k sigma_k / 2 with r = (1, x, y, z).

@@ -202,7 +202,7 @@ def _check_completeness(rng):
 def _check_channel_density(rng):
     worst = 0.0
     channels = [core.error_channel(rng.random(), rng.random()) for _ in range(5)]
-    channels.append(cloning.estimation_elements().kraus)
+    channels.append(cloning.estimation_elements())
     for ch in channels:
         for _ in range(20):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -221,7 +221,7 @@ def _check_sampling_frequencies(rng):
     n = 100_000
     psi = core.make_pure(1.0, 0.0)
     est = cloning.estimation_elements()
-    counts = np.bincount(core.sample_elements(est.kraus, psi, rng, n), minlength=4)
+    counts = np.bincount(core.sample_elements(est, psi, rng, n), minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
     sigma = np.sqrt(probs * (1 - probs) / n)
     return float(np.max(np.abs(counts / n - probs) / sigma))

@@ -211,7 +211,7 @@ def test_criterion_11_measurement_statistics():
     n = 100_000
     rng = np.random.default_rng(111)
     est = estimation_elements()
-    counts = np.bincount(sample_elements(est.kraus, KET0, rng, n), minlength=4)
+    counts = np.bincount(sample_elements(est, KET0, rng, n), minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
     sigma = np.sqrt(probs * (1 - probs) / n)
     max_z = float(np.max(np.abs(counts / n - probs) / sigma))

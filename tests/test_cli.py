@@ -59,7 +59,7 @@ def expected_sweep(mode, n_alpha, n_phi, pbit=0.0, pph=0.0, trials=0, seed=0):
                 fields += [res.mean, res.stderr]
                 averaged[i, j] = res.mean
             lines.append(",".join(format(float(x), ".12g") for x in fields))
-    average = protocol.grid_average(averaged, n_alpha, n_phi)
+    average = protocol.grid_average(averaged)
     lines.append(f"# average={format(average, '.12g')}")
     return "\n".join(lines) + "\n"
 

@@ -30,7 +30,7 @@ KET1 = make_pure(0.0, 0.0)
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 channels = st.one_of(st.builds(error_channel, probabilities, probabilities),
-                     st.just(estimation_elements().kraus))
+                     st.just(estimation_elements()))
 
 
 def weighted_unitaries(k, seed):
@@ -260,6 +260,13 @@ class TestErrorChannel:
 
 
 class TestKrausChannel:
+    def test_estimation_channel_is_a_kraus_channel(self):
+        est = estimation_elements()
+        assert isinstance(est, KrausChannel) and len(est) == 4
+        for arr in (est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 0.0
+
     def test_incomplete_elements_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel(np.stack([np.eye(2, dtype=complex), PAULI_X]))
@@ -271,7 +278,7 @@ class TestKrausChannel:
     def test_apply_preserves_density(self):
         rng = np.random.default_rng(3)
         channels = [error_channel(rng.random(), rng.random()) for _ in range(5)]
-        channels.append(estimation_elements().kraus)
+        channels.append(estimation_elements())
         for ch in channels:
             for _ in range(10):
                 out = apply_channel(ch, random_density(rng))
@@ -285,7 +292,7 @@ class TestKrausChannel:
             dtype=complex)
         rho = KET0.density()
         expected = sum(e @ rho @ e.conj().T for e in elements)
-        out = apply_channel(estimation_elements().kraus, rho)
+        out = apply_channel(estimation_elements(), rho)
         np.testing.assert_allclose(out, expected, atol=1e-15)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
@@ -310,14 +317,14 @@ class TestSampleElement:
         np.testing.assert_array_equal(sample_elements(error_channel(1.0, 0.0), KET0, rng, 20), 1)
 
     def test_seed_determinism(self):
-        ch = estimation_elements().kraus
+        ch = estimation_elements()
         runs = [sample_elements(ch, make_pure(0.3, 2.0), np.random.default_rng(42), 50)
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_frequencies_match_born_rule(self):
         n = 20000
-        ch = estimation_elements().kraus
+        ch = estimation_elements()
         psi = make_pure(0.7, 0.9)
         v = psi.vector
         probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
@@ -325,7 +332,7 @@ class TestSampleElement:
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(counts / n - probs) <= 4 * sigma)
 
-    @pytest.mark.parametrize("ch", [estimation_elements().kraus, error_channel(0.3, 0.6)])
+    @pytest.mark.parametrize("ch", [estimation_elements(), error_channel(0.3, 0.6)])
     def test_batched_matches_scalar(self, ch):
         # one draw of n equals n draws of one from the same stream
         psi = make_pure(0.7, 0.9)
@@ -336,7 +343,7 @@ class TestSampleElement:
         assert batched_rng.random() == scalar_rng.random()
 
     def test_size_domain(self):
-        ch = estimation_elements().kraus
+        ch = estimation_elements()
         assert sample_elements(ch, KET0, np.random.default_rng(0), 0).shape == (0,)
         for size in (2.5, True, -1, "3"):
             with pytest.raises(ValueError, match="size"):

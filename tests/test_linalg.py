@@ -106,7 +106,7 @@ class TestPolarDecompose:
         for _ in range(1000):
             e = random_invertible(rng)
             u, p = polar_decompose(e)
-            assert is_unitary(u, 1e-12)
+            assert is_unitary(u)
             assert is_hermitian(p, 1e-12)
             assert is_psd(p, 1e-12)
             assert np.max(np.abs(u @ p - e)) < 1e-12
@@ -168,4 +168,4 @@ class TestPredicates:
     def test_haar_samples_are_unitary(self):
         rng = np.random.default_rng(23)
         for t in haar_random_unitary(rng, 100):
-            assert is_unitary(t, 1e-12)
+            assert is_unitary(t)

@@ -30,7 +30,6 @@ from clonerestore.protocol import (
     MCResult,
     alpha2_grid,
     analytic_fidelity,
-    baseline_direct_fidelity,
     baseline_fidelity_plane,
     bloch_form,
     branch_statistics,
@@ -265,7 +264,7 @@ class TestAnalyticFidelity:
             (analytic_fidelity, (1.5, 0.0)),
             (analytic_fidelity, (np.nan, 0.0)),
             (analytic_fidelity, (0.5, np.inf)),
-            (baseline_fidelity_plane, (np.nan,)),
+            (baseline_fidelity_plane, (np.nan, 0.0)),
             (reversed_fidelity_plane, (np.nan, 0.0)),
             (exact_fidelity_plane, ([0.5, np.nan], 0.0)),
         ]:
@@ -301,11 +300,14 @@ class TestMixedInputFidelity:
 
 class TestBaseline:
     def test_pole(self):
-        assert baseline_direct_fidelity(KET0) == 1.0
+        assert baseline_fidelity_plane(1.0, 0.0) == 1.0
 
     def test_equator(self):
         for phi in (0.0, 1.0, np.pi):
-            assert baseline_direct_fidelity(make_pure(0.5, phi)) == pytest.approx(0.5, abs=1e-14)
+            assert baseline_fidelity_plane(0.5, phi) == pytest.approx(0.5, abs=1e-14)
+        # the value ignores phi but takes the broadcast shape of both inputs
+        np.testing.assert_allclose(baseline_fidelity_plane(np.array([[0.5]]), [0.0, 1.0, np.pi]),
+                                   [[0.5, 0.5, 0.5]], atol=1e-14)
 
 
 class TestPlaneAverage:
@@ -320,10 +322,6 @@ class TestPlaneAverage:
                 alpha2_grid(n)
             with pytest.raises(ValueError, match="n_phi must be an integer"):
                 phi_grid(n)
-            with pytest.raises(ValueError, match="n_alpha must be an integer"):
-                grid_average(np.ones(9), n, 3)
-            with pytest.raises(ValueError, match="n_phi must be an integer"):
-                grid_average(np.ones(9), 3, n)
         np.testing.assert_array_equal(alpha2_grid(np.int64(3)), alpha2_grid(3))
         np.testing.assert_array_equal(phi_grid(np.int32(3)), phi_grid(3))
 
@@ -335,13 +333,16 @@ class TestPlaneAverage:
 
     def test_grid_average_weights(self):
         values = np.outer(alpha2_grid(11), np.ones(3))
-        assert grid_average(values, 11, 3) == pytest.approx(0.5, abs=1e-14)
-        # degenerate grids: one alpha^2 point has no trapezoid, no phi point no mean
-        for values, n_alpha, n_phi, what in ((np.ones(3), 1, 3, "n_alpha"),
-                                             (np.ones(0), 0, 3, "n_alpha"),
-                                             (np.ones(0), 2, 0, "n_phi")):
-            with pytest.raises(ValueError, match=f"{what} must be at least"):
-                grid_average(values, n_alpha, n_phi)
+        assert grid_average(values) == pytest.approx(0.5, abs=1e-14)
+
+    def test_grid_average_shape(self):
+        # the grid is the input's shape: a flat array is no grid, one alpha^2
+        # row has no trapezoid, and no phi column has no mean
+        for values in (np.ones(6), np.ones((1, 3)), np.ones((0, 3)), np.ones((2, 0)),
+                       np.ones((2, 3, 1)), 0.5):
+            with pytest.raises(ValueError, match="2-D grid"):
+                grid_average(values)
+        assert grid_average(np.array([[0.0], [1.0]])) == 0.5
 
 
 def bloch_vectors(alpha2, phi):
