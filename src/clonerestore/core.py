@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, dagger, is_hermitian, is_psd
+from .linalg import ATOL, _nonfinite_error, dagger, is_hermitian, is_psd
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -91,10 +91,7 @@ class PureQubit:
         re, im = v.real, v.imag
         n = math.sqrt(re.dot(re) + im.dot(im))
         if not math.isfinite(n):
-            # a square is never negative, so a non-finite entry always lands here
-            if np.isfinite(v).all():
-                raise ValueError("vector norm overflows")
-            raise ValueError("vector must be finite")
+            raise _nonfinite_error(v, "vector")
         if n <= GAUGE_ATOL:
             raise ValueError("cannot canonicalize a zero vector")
         a = abs(v[0]) / n
@@ -232,6 +229,9 @@ class KrausChannel:
         elements = np.array(self.elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1:] != (2, 2):
             raise ValueError("elements must have shape (k, 2, 2)")
+        # NaN fails every comparison, so completeness alone would let it through
+        if not np.isfinite(elements).all():
+            raise ValueError("elements must be finite")
         effects = np.einsum("aji,ajk->aik", elements.conj(), elements)
         if np.max(np.abs(effects.sum(axis=0) - np.eye(2))) > ATOL:
             raise ValueError("operation elements violate completeness")

@@ -8,6 +8,8 @@ unitary polar factor. No iterative decompositions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ATOL = 1e-12
@@ -52,13 +54,27 @@ def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
     return tr / 2.0 - np.sqrt(disc) >= -tol
 
 
+def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:
+    """The error for an array ``what`` whose norm was found not finite.
+
+    A square is never negative, so a NaN or infinite entry always makes
+    the norm non-finite; otherwise the norm overflowed.
+    """
+    if np.isfinite(a).all():
+        return ValueError(f"{what} norm overflows")
+    return ValueError(f"{what} must be finite")
+
+
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD 2x2 matrix.
 
     Uses sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
-    valid for every PSD matrix except A = 0, which maps to 0.
+    valid for every PSD matrix except A = 0, which maps to 0. Raises
+    ValueError for a non-finite entry or a norm that overflows.
     """
     a = np.asarray(a, dtype=complex)
+    if not math.isfinite(np.sum(np.abs(a) ** 2)):
+        raise _nonfinite_error(a, "matrix")
     det = max(det2(a).real, 0.0)
     tr = (a[0, 0] + a[1, 1]).real
     s = np.sqrt(det)
@@ -72,9 +88,13 @@ def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor e = u @ p with u unitary and p = sqrt(e^dag e) Hermitian PSD.
 
     Raises ValueError for (numerically) singular input: the unitary
-    factor is not unique there and the protocol never produces one.
+    factor is not unique there and the protocol never produces one; and
+    for a non-finite entry or a norm that overflows.
     """
     e = np.asarray(e, dtype=complex)
+    norm2 = np.sum(np.abs(e) ** 2)
+    if not math.isfinite(norm2):
+        raise _nonfinite_error(e, "matrix")
     det = det2(e)
     if abs(det) <= ATOL:
         raise ValueError("degenerate input: polar decomposition requires an invertible matrix")
@@ -83,7 +103,7 @@ def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Unlike e @ inv(p), nothing is inverted, so u stays unitary to
     # rounding when e is ill-conditioned.
     adj_dag = np.array([[e[1, 1], -e[1, 0]], [-e[0, 1], e[0, 0]]]).conj()
-    u = (e + (det / abs(det)) * adj_dag) / np.sqrt(np.sum(np.abs(e) ** 2) + 2.0 * abs(det))
+    u = (e + (det / abs(det)) * adj_dag) / np.sqrt(norm2 + 2.0 * abs(det))
     h = dagger(u) @ e
     return u, 0.5 * (h + dagger(h))
 

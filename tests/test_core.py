@@ -260,12 +260,11 @@ class TestErrorChannel:
 
 
 class TestKrausChannel:
-    def test_estimation_channel_is_a_kraus_channel(self):
-        est = estimation_elements()
-        assert isinstance(est, KrausChannel) and len(est) == 4
-        for arr in (est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0, 0] = 0.0
+    def test_nonfinite_elements_rejected(self):
+        # NaN passed the completeness check, and sampling then always drew 0
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="elements must be finite"):
+                KrausChannel(np.full((1, 2, 2), value))
 
     def test_incomplete_elements_rejected(self):
         with pytest.raises(ValueError, match="completeness"):

@@ -450,6 +450,7 @@ class TestProtocolProperties:
 class TestSharedArrays:
     def test_in_place_writes_raise(self):
         est = estimation_elements()
+        assert isinstance(est, KrausChannel) and len(est) == 4
         ch = error_channel(0.2, 0.3)
         shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
                   est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
