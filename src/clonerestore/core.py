@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, _nonfinite_error, dagger, is_hermitian, is_psd
+from .linalg import ATOL, _nonfinite_error, is_hermitian, is_psd
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12

@@ -26,24 +26,6 @@ E0_UNITARY = np.array([[3, 1], [-1, 3]], dtype=complex) / np.sqrt(10)
 E0_HERMITIAN = np.array([[3, 1], [1, 2]], dtype=complex) / np.sqrt(30)
 E3_UNITARY = dagger(np.array([[-3, 1], [-1, -3]], dtype=complex) / np.sqrt(10))
 
-# Hermitian matrices: only their non-finite entries make them invalid input
-NONFINITE = [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
-             np.array([[1.0, np.inf], [np.inf, 1.0]])]
-
-
-@pytest.mark.parametrize("f", [sqrtm_psd, polar_decompose, nearest_unitary])
-class TestNonfiniteInput:
-    # without the check these returned NaN or infinities, with only a RuntimeWarning
-    @pytest.mark.parametrize("a", NONFINITE)
-    def test_nonfinite_rejected(self, f, a):
-        with pytest.raises(ValueError, match="must be finite"):
-            f(a)
-
-    def test_norm_overflow_rejected(self, f):
-        # every entry is finite, but the squared norm is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
-            f(np.diag([1e200, 1e200]))
-
 
 def entrywise_distance(a, b):
     """Brute-force Hilbert-Schmidt distance over explicit entries."""
@@ -187,3 +169,22 @@ class TestPredicates:
         rng = np.random.default_rng(23)
         for t in haar_random_unitary(rng, 100):
             assert is_unitary(t)
+
+
+# Hermitian matrices: only their non-finite entries make them invalid input
+NONFINITE = [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
+             np.array([[1.0, np.inf], [np.inf, 1.0]])]
+
+
+@pytest.mark.parametrize("f", [sqrtm_psd, polar_decompose, nearest_unitary])
+class TestNonfiniteInput:
+    # without the check these returned NaN or infinities, with only a RuntimeWarning
+    @pytest.mark.parametrize("a", NONFINITE)
+    def test_nonfinite_rejected(self, f, a):
+        with pytest.raises(ValueError, match="must be finite"):
+            f(a)
+
+    def test_norm_overflow_rejected(self, f):
+        # every entry is finite, but the squared norm is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+            f(np.diag([1e200, 1e200]))
