@@ -137,8 +137,7 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     # one mc_estimates call per alpha^2 row: its branch tables are built
     # together, and the lazy generators keep one point's stream alive at a time
     for di, a2 in enumerate(aa[:, 0]):
-        # make_pure's gauge, bit for bit: the phase is 0 at the poles
-        vectors = state_vector(a2, pp[0] if 0.0 < a2 < 1.0 else np.zeros(shape[1]))
+        vectors = state_vector(a2, pp[0])
         rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
                 for j in range(shape[1]))
         f_mc[di], mc_err[di] = protocol.mc_estimates(vectors, args.pbit, args.pph,

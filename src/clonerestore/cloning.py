@@ -123,7 +123,7 @@ class EstimationChannel(KrausChannel):
         for i in range(len(self)):
             if not is_unitary(reversals[i]):
                 raise ValueError(f"reversal matrix {i} is not unitary")
-            if not is_psd(sqrt_effects[i], ATOL):
+            if not is_psd(sqrt_effects[i]):
                 raise ValueError(f"reversal {i} does not leave a PSD factor")
         object.__setattr__(self, "reversal_unitaries", _read_only(reversals))
         object.__setattr__(self, "sqrt_effects", _read_only(sqrt_effects))
@@ -167,6 +167,11 @@ def reverse(state: PureQubit, outcome: Outcome) -> PureQubit:
     return PureQubit.from_vector(dagger(u) @ state.vector)
 
 
+def _reversed_vector(psi: PureQubit, outcome: Outcome) -> np.ndarray:
+    """The vector after measuring psi with the given outcome and reversing."""
+    return reverse(post_measurement_state(psi, outcome), outcome).vector
+
+
 def reversed_fidelity(psi: PureQubit) -> float:
     """Outcome-averaged fidelity after measurement plus reversal.
 
@@ -176,8 +181,7 @@ def reversed_fidelity(psi: PureQubit) -> float:
     total = 0.0
     for outcome in Outcome:
         p = outcome_probability(psi, outcome)
-        reversed_state = reverse(post_measurement_state(psi, outcome), outcome)
-        overlap = abs(np.vdot(psi.vector, reversed_state.vector)) ** 2
+        overlap = abs(np.vdot(psi.vector, _reversed_vector(psi, outcome))) ** 2
         total += p * overlap
     return total
 

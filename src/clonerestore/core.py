@@ -2,8 +2,8 @@
 
 Pure states live in a fixed gauge: real amplitudes alpha, beta >= 0 with
 alpha^2 + beta^2 = 1 and a relative phase phi in [0, 2*pi). Density
-matrices and channel elements are plain complex ndarrays with validation
-helpers that enforce the invariants.
+matrices and channel elements are plain complex ndarrays;
+``KrausChannel`` checks its elements on construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, _nonfinite_error, is_hermitian, is_psd
+from .linalg import ATOL, _nonfinite_error
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -73,11 +73,6 @@ class PureQubit:
         """Complex amplitude 2-vector (alpha, beta e^{i phi})."""
         return np.array([self.alpha, self.beta * np.exp(1j * self.phi)], dtype=complex)
 
-    def density(self) -> np.ndarray:
-        """Rank-one density matrix |psi><psi|."""
-        v = self.vector
-        return np.outer(v, v.conj())
-
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "PureQubit":
         """Canonicalize a complex 2-vector into the fixed gauge.
@@ -132,24 +127,12 @@ def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
 def state_vector(alpha2, phi) -> np.ndarray:
     """Amplitude vectors for (alpha2, phi); broadcasts over array input.
 
-    Returns an array of shape broadcast(alpha2, phi) + (2,).
+    Returns an array of shape broadcast(alpha2, phi) + (2,). The gauge is
+    ``PureQubit``'s: the phase is 0 where alpha2 is 0 or 1.
     """
     a, ph = np.broadcast_arrays(*_check_plane(alpha2, phi))
+    ph = np.where((a == 0.0) | (a == 1.0), 0.0, ph)
     return np.stack([np.sqrt(a) + 0j, np.sqrt(1.0 - a) * np.exp(1j * ph)], axis=-1)
-
-
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate a 2x2 density matrix to ATOL, PSD to 1e-10; returns it as complex."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
-        raise ValueError("density matrix does not have unit trace")
-    if not is_psd(rho, 1e-10):
-        raise ValueError("density matrix is not positive semidefinite")
-    return rho
 
 
 def fidelity(psi: PureQubit, rho: np.ndarray) -> float:
@@ -257,36 +240,3 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_i E_i rho E_i^dag."""
     rho = np.asarray(rho, dtype=complex)
     return np.einsum("aij,jk,alk->il", ch.elements, rho, ch.elements.conj())
-
-
-def _count_at_most(cum, x):
-    """How many of cum[0], ..., cum[k-2] are <= x: the inverse-CDF draw.
-
-    ``cum`` holds the cumulative probabilities of k outcomes on its first
-    axis; its other axes broadcast against x, whose shape the result has.
-    Since they never decrease, this is the first outcome whose cumulative
-    probability exceeds x, clamped to k - 1.
-    """
-    # one comparison at a time: no (k - 1, size) temporary
-    count = np.zeros(np.shape(x), dtype=np.intp)
-    for c in cum[:-1]:
-        count += c <= x
-    return count
-
-
-def sample_elements(ch: KrausChannel, psi: PureQubit, rng: np.random.Generator,
-                    size: int) -> np.ndarray:
-    """Sample ``size`` independent operation-element indices for one state.
-
-    Element i is drawn with probability <psi|E_i^dag E_i|psi>, one
-    ``rng.random()`` double per draw. Raises ValueError unless ``size`` is
-    an integer >= 0. Deterministic for a fixed generator state.
-    """
-    _check_count(size, "size", 0)
-    v = psi.vector
-    probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
-    np.clip(probs, 0.0, None, out=probs)
-    total = probs.sum()
-    if total <= 0.0:
-        raise RuntimeError("all operation elements have zero probability")
-    return _count_at_most(np.cumsum(probs), rng.random(size) * total)

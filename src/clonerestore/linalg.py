@@ -33,9 +33,9 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(d) ** 2)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+    return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:
@@ -43,15 +43,15 @@ def is_unitary(a: np.ndarray) -> bool:
     return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
 
 
-def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
-    """Hermitian with both eigenvalues >= -tol (2x2 trace/det form)."""
+def is_psd(a: np.ndarray) -> bool:
+    """Hermitian with both eigenvalues >= -ATOL (2x2 trace/det form)."""
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         return False
     tr = (a[0, 0] + a[1, 1]).real
     det = det2(a).real
     disc = max(tr * tr / 4.0 - det, 0.0)
-    return tr / 2.0 - np.sqrt(disc) >= -tol
+    return tr / 2.0 - np.sqrt(disc) >= -ATOL
 
 
 def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:

@@ -17,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cloning import (
-    Outcome,
-    estimation_elements,
-    outcome_probability,
-    post_measurement_state,
-    reverse,
-)
+from .cloning import Outcome, _reversed_vector, estimation_elements, outcome_probability
 from .core import (
     _ERROR_OPERATORS,
     MAXIMALLY_MIXED,
@@ -33,7 +27,6 @@ from .core import (
     PureQubit,
     _check_count,
     _check_plane,
-    _count_at_most,
     _read_only,
     error_probabilities,
     state_vector,
@@ -52,12 +45,6 @@ def correction_unitary(alice: Outcome, bob: Outcome) -> np.ndarray:
     bit_differs = alice.bit != bob.bit
     sign_differs = alice.sign != bob.sign
     return _ERROR_OPERATORS[ErrorType(int(bit_differs) + 2 * int(sign_differs))]
-
-
-def _sender_state(psi: PureQubit, alice: Outcome) -> np.ndarray:
-    """Alice's half of a branch: the vector she sends after her
-    measurement and reversal. It does not depend on the error or on Bob."""
-    return reverse(post_measurement_state(psi, alice), alice).vector
 
 
 def _receiver_half(w: np.ndarray, bob: Outcome, correction: np.ndarray,
@@ -83,7 +70,7 @@ def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
     reversed on the receiver side with the comparison correction
     applied last. Returns (P(bob | alice, error), corrected state).
     """
-    w = error.operator @ _sender_state(psi, alice)
+    w = error.operator @ _reversed_vector(psi, alice)
     return _receiver_half(w, bob, correction_unitary(alice, bob),
                           dagger(estimation_elements().reversal_unitaries[bob]))
 
@@ -102,7 +89,7 @@ def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0) -> flo
     total = 0.0
     for alice in Outcome:
         p_a = outcome_probability(psi, alice)
-        sent = _sender_state(psi, alice)
+        sent = _reversed_vector(psi, alice)
         corrections = [correction_unitary(alice, bob) for bob in Outcome]
         for error in ErrorType:
             if perr[error] == 0.0:
@@ -297,6 +284,21 @@ class MCResult:
         if self.stderr > 0.0:
             return (self.mean - exact) / self.stderr
         return 0.0 if abs(self.mean - exact) <= 1e-12 else float("inf")
+
+
+def _count_at_most(cum, x):
+    """How many of cum[0], ..., cum[k-2] are <= x: the inverse-CDF draw.
+
+    ``cum`` holds the cumulative probabilities of k outcomes on its first
+    axis; its other axes broadcast against x, whose shape the result has.
+    Since they never decrease, this is the first outcome whose cumulative
+    probability exceeds x, clamped to k - 1.
+    """
+    # one comparison at a time: no (k - 1, size) temporary
+    count = np.zeros(np.shape(x), dtype=np.intp)
+    for c in cum[:-1]:
+        count += c <= x
+    return count
 
 
 def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,

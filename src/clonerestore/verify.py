@@ -219,9 +219,10 @@ def _check_channel_density(rng):
 
 def _check_sampling_frequencies(rng):
     n = 100_000
-    psi = core.make_pure(1.0, 0.0)
-    est = cloning.estimation_elements()
-    counts = np.bincount(core.sample_elements(est, psi, rng, n), minlength=4)
+    ket0 = core.make_pure(1.0, 0.0).vector[None]
+    _, branches = next(protocol._sample_branches(ket0, 0.0, 0.0, n, (rng,)))
+    # Alice's outcome of branch 16 alice + 4 error + bob
+    counts = np.bincount(branches // 16, minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
     sigma = np.sqrt(probs * (1 - probs) / n)
     return float(np.max(np.abs(counts / n - probs) / sigma))
@@ -319,7 +320,7 @@ def _check_quadrant_preservation(rng):
 
 
 def _check_error_rate_independence(rng):
-    aa, pp = np.meshgrid(np.linspace(0.0, 1.0, 5), 2 * np.pi * np.arange(5) / 5, indexing="ij")
+    aa, pp = np.meshgrid(protocol.alpha2_grid(5), protocol.phi_grid(5), indexing="ij")
     pairs = [(rng.random(), rng.random()) for _ in range(10)]
     ref = protocol.exact_fidelity_plane(aa, pp)
     worst = 0.0

@@ -18,7 +18,7 @@ from clonerestore.cloning import (
     reversed_fidelity_plane,
     uqcm_output,
 )
-from clonerestore.core import ErrorType, fidelity, make_pure, reduce_qubit, sample_elements
+from clonerestore.core import ErrorType, fidelity, make_pure, reduce_qubit
 from clonerestore.linalg import dagger, haar_random_unitary, hs_distance, nearest_unitary
 from clonerestore.protocol import (
     alpha2_grid,
@@ -210,8 +210,9 @@ def test_criterion_10_monte_carlo():
 def test_criterion_11_measurement_statistics():
     n = 100_000
     rng = np.random.default_rng(111)
-    est = estimation_elements()
-    counts = np.bincount(sample_elements(est, KET0, rng, n), minlength=4)
+    _, branches = next(protocol._sample_branches(KET0.vector[None], 0.0, 0.0, n, (rng,)))
+    # Alice's outcome of branch 16 alice + 4 error + bob
+    counts = np.bincount(branches // 16, minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
     sigma = np.sqrt(probs * (1 - probs) / n)
     max_z = float(np.max(np.abs(counts / n - probs) / sigma))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonerestore.cloning import estimation_elements
-from clonerestore.linalg import haar_random_unitary
+from clonerestore.linalg import ATOL
 from clonerestore.core import (
     GAUGE_ATOL,
     MAXIMALLY_MIXED,
@@ -14,15 +14,14 @@ from clonerestore.core import (
     KrausChannel,
     PureQubit,
     apply_channel,
-    check_density_matrix,
     error_channel,
     error_probabilities,
     fidelity,
     make_pure,
     reduce_qubit,
-    sample_elements,
     state_vector,
 )
+from clonerestore.protocol import alpha2_grid, phi_grid
 
 KET0 = make_pure(1.0, 0.0)
 KET1 = make_pure(0.0, 0.0)
@@ -31,18 +30,6 @@ probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
 channels = st.one_of(st.builds(error_channel, probabilities, probabilities),
                      st.just(estimation_elements()))
-
-
-def weighted_unitaries(k, seed):
-    """A k-element channel sqrt(w_i) U_i: Haar unitaries with Dirichlet weights."""
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(k))
-    return KrausChannel(np.sqrt(weights)[:, None, None] * haar_random_unitary(rng, k))
-
-
-# channels with 1 to 6 elements, for the k-outcome inverse-CDF draw
-sampling_channels = st.one_of(
-    channels, st.builds(weighted_unitaries, st.integers(1, 6), st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -85,6 +72,12 @@ amplitude_parts = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 complex_vectors = st.lists(st.builds(complex, amplitude_parts, amplitude_parts),
                            min_size=2, max_size=2).map(np.array)
+
+
+def density(psi):
+    """The projector |psi><psi|."""
+    v = psi.vector
+    return np.outer(v, v.conj())
 
 
 def random_density(rng):
@@ -171,11 +164,6 @@ class TestPureQubit:
         dphi = abs(back.phi - phi) % (2 * np.pi)
         assert min(dphi, 2 * np.pi - dphi) < 1e-12
 
-    def test_density_is_projector(self):
-        rho = make_pure(0.3, 1.1).density()
-        check_density_matrix(rho)
-        np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
-
 
 class TestStateVector:
     def test_matches_scalar_states(self):
@@ -184,6 +172,13 @@ class TestStateVector:
         v = state_vector(a2, phi)
         for i in range(7):
             np.testing.assert_allclose(v[i], make_pure(a2[i], phi[i]).vector, atol=1e-15)
+
+    def test_equals_make_pure_bit_for_bit(self):
+        # both poles are on every alpha2 grid; the phase is 0 there
+        for n in (2, 3, 11, 51, 101):
+            a2, phi = alpha2_grid(n), phi_grid(min(n, 37))
+            expected = np.array([[make_pure(a, p).vector for p in phi] for a in a2])
+            assert np.array_equal(state_vector(a2[:, None], phi[None, :]), expected)
 
     def test_domain(self):
         for alpha2, phi in [([0.5, 1.5], 0.0), (np.nan, 0.0), ([0.5, np.nan], 0.0),
@@ -195,14 +190,14 @@ class TestStateVector:
 class TestFidelity:
     def test_self_overlap(self):
         psi = make_pure(0.7, 0.4)
-        assert fidelity(psi, psi.density()) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(psi, density(psi)) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed(self):
         for psi in (KET0, KET1, make_pure(0.4, 2.0)):
             assert fidelity(psi, MAXIMALLY_MIXED) == pytest.approx(0.5, abs=1e-15)
 
     def test_orthogonal(self):
-        assert fidelity(KET0, KET1.density()) == 0.0
+        assert fidelity(KET0, density(KET1)) == 0.0
 
 
 class TestErrorChannel:
@@ -230,8 +225,8 @@ class TestErrorChannel:
                 apply_channel(ch, random_density(rng)), MAXIMALLY_MIXED, atol=1e-14)
 
     def test_deterministic_bit_flip(self):
-        out = apply_channel(error_channel(1.0, 0.0), KET0.density())
-        np.testing.assert_allclose(out, KET1.density(), atol=1e-15)
+        out = apply_channel(error_channel(1.0, 0.0), density(KET0))
+        np.testing.assert_allclose(out, density(KET1), atol=1e-15)
 
     @pytest.mark.parametrize("p_bit,p_ph", [(-0.1, 0.0), (0.0, 1.2), (2.0, 2.0)])
     def test_domain(self, p_bit, p_ph):
@@ -281,7 +276,9 @@ class TestKrausChannel:
         for ch in channels:
             for _ in range(10):
                 out = apply_channel(ch, random_density(rng))
-                check_density_matrix(out)
+                assert np.max(np.abs(out - out.conj().T)) <= ATOL
+                assert abs(np.trace(out) - 1.0) <= ATOL
+                assert np.linalg.eigvalsh(out).min() >= -1e-10
 
     def test_apply_estimation_channel_matches_direct_sum(self):
         # direct matrix arithmetic with explicit element values
@@ -289,64 +286,11 @@ class TestKrausChannel:
         elements = s * np.array(
             [[[2, 1], [0, 1]], [[1, 0], [1, 2]], [[2, -1], [0, 1]], [[-1, 0], [1, -2]]],
             dtype=complex)
-        rho = KET0.density()
+        rho = density(KET0)
         expected = sum(e @ rho @ e.conj().T for e in elements)
         out = apply_channel(estimation_elements(), rho)
         np.testing.assert_allclose(out, expected, atol=1e-15)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
-
-
-def clamped_searchsorted_draw(ch, psi, rng, size):
-    """Reference inverse-CDF draw: searchsorted on the cumulative Born
-    probabilities, clamped to the last element."""
-    v = psi.vector
-    probs = np.clip(np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real, 0.0, None)
-    idx = np.searchsorted(np.cumsum(probs), rng.random(size) * probs.sum(), side="right")
-    return np.minimum(idx, len(ch) - 1)
-
-
-class TestSampleElement:
-    def test_identity_channel(self):
-        ch = KrausChannel(np.eye(2, dtype=complex)[None, :, :])
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(sample_elements(ch, make_pure(0.3, 1.0), rng, 20), 0)
-
-    def test_deterministic_bit_flip(self):
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(sample_elements(error_channel(1.0, 0.0), KET0, rng, 20), 1)
-
-    def test_seed_determinism(self):
-        ch = estimation_elements()
-        runs = [sample_elements(ch, make_pure(0.3, 2.0), np.random.default_rng(42), 50)
-                for _ in range(2)]
-        np.testing.assert_array_equal(runs[0], runs[1])
-
-    def test_frequencies_match_born_rule(self):
-        n = 20000
-        ch = estimation_elements()
-        psi = make_pure(0.7, 0.9)
-        v = psi.vector
-        probs = np.einsum("i,aij,j->a", v.conj(), ch.effects, v).real
-        counts = np.bincount(sample_elements(ch, psi, np.random.default_rng(8), n), minlength=4)
-        sigma = np.sqrt(probs * (1 - probs) / n)
-        assert np.all(np.abs(counts / n - probs) <= 4 * sigma)
-
-    @pytest.mark.parametrize("ch", [estimation_elements(), error_channel(0.3, 0.6)])
-    def test_batched_matches_scalar(self, ch):
-        # one draw of n equals n draws of one from the same stream
-        psi = make_pure(0.7, 0.9)
-        batched_rng, scalar_rng = np.random.default_rng(21), np.random.default_rng(21)
-        batched = sample_elements(ch, psi, batched_rng, 1000)
-        scalar = [sample_elements(ch, psi, scalar_rng, 1)[0] for _ in range(1000)]
-        np.testing.assert_array_equal(batched, scalar)
-        assert batched_rng.random() == scalar_rng.random()
-
-    def test_size_domain(self):
-        ch = estimation_elements()
-        assert sample_elements(ch, KET0, np.random.default_rng(0), 0).shape == (0,)
-        for size in (2.5, True, -1, "3"):
-            with pytest.raises(ValueError, match="size"):
-                sample_elements(ch, KET0, np.random.default_rng(0), size)
 
 
 class TestCoreProperties:
@@ -368,22 +312,12 @@ class TestCoreProperties:
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
-    @given(ch=sampling_channels, alpha2=probabilities, phi=phis,
-           seed=st.integers(0, 2**32 - 1), size=st.integers(1, 200))
-    def test_sample_elements_match_clamped_searchsorted(self, ch, alpha2, phi, seed, size):
-        psi = make_pure(alpha2, phi)
-        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = sample_elements(ch, psi, rng, size)
-        assert drawn.dtype == np.intp
-        np.testing.assert_array_equal(drawn, clamped_searchsorted_draw(ch, psi, reference_rng, size))
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
-
 
 class TestReduceQubit:
     def test_product_state(self):
         psi = make_pure(0.3, 0.7)
         state = np.kron(psi.vector, np.kron([1, 0], [1, 0])).astype(complex)
-        np.testing.assert_allclose(reduce_qubit(state, 1), psi.density(), atol=1e-15)
+        np.testing.assert_allclose(reduce_qubit(state, 1), density(psi), atol=1e-15)
 
     def test_ghz_marginal_is_mixed(self):
         ghz = np.zeros(8, dtype=complex)
@@ -399,20 +333,3 @@ class TestReduceQubit:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             reduce_qubit(np.zeros(4), 1)
-
-
-class TestCheckDensityMatrix:
-    def test_accepts_valid(self):
-        check_density_matrix(MAXIMALLY_MIXED)
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            check_density_matrix(np.eye(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="positive"):
-            check_density_matrix(np.diag([1.5, -0.5]))

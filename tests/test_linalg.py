@@ -73,7 +73,7 @@ class TestSqrtmPsd:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a = g @ dagger(g)
             r = sqrtm_psd(a)
-            assert is_psd(r, 1e-10)
+            assert is_psd(r)
             np.testing.assert_allclose(r @ r, a, atol=1e-12)
 
 
@@ -107,8 +107,8 @@ class TestPolarDecompose:
             e = random_invertible(rng)
             u, p = polar_decompose(e)
             assert is_unitary(u)
-            assert is_hermitian(p, 1e-12)
-            assert is_psd(p, 1e-12)
+            assert is_hermitian(p)
+            assert is_psd(p)
             assert np.max(np.abs(u @ p - e)) < 1e-12
 
     def test_verify_seed_318_matrices(self):
@@ -147,8 +147,8 @@ class TestNearestUnitary:
     def test_leftover_factor_is_psd(self):
         for e in ELEMENTS:
             s = dagger(nearest_unitary(e)) @ e
-            assert is_hermitian(s, 1e-12)
-            assert is_psd(s, 1e-12)
+            assert is_hermitian(s)
+            assert is_psd(s)
 
 
 class TestPredicates:
