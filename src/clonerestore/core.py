@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, _nonfinite_error
+from .linalg import ATOL, _SQUARE_MAX, _nonfinite_error
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -84,13 +84,20 @@ class PureQubit:
         v = np.asarray(v, dtype=complex).reshape(2)
         # the operations of np.linalg.norm and np.angle, without their wrappers
         re, im = v.real, v.imag
-        n = math.sqrt(re.dot(re) + im.dot(im))
+        a, b = abs(v[0]), abs(v[1])
+        if a > _SQUARE_MAX or b > _SQUARE_MAX:
+            # a square may overflow: the ValueError below, not numpy's
+            # RuntimeWarning. errstate costs more than the rest, so only here
+            with np.errstate(over="ignore"):
+                n = math.sqrt(re.dot(re) + im.dot(im))
+        else:
+            n = math.sqrt(re.dot(re) + im.dot(im))
         if not math.isfinite(n):
             raise _nonfinite_error(v, "vector")
         if n <= GAUGE_ATOL:
             raise ValueError("cannot canonicalize a zero vector")
-        a = abs(v[0]) / n
-        b = abs(v[1]) / n
+        a /= n
+        b /= n
         if a <= GAUGE_ATOL:
             return cls(0.0, 1.0, 0.0)
         if b <= GAUGE_ATOL:

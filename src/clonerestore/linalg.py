@@ -14,6 +14,10 @@ import numpy as np
 
 ATOL = 1e-12
 
+# No square of an entry at most this large overflows, nor does a sum of
+# four of them: 4 * (1e150)^2 is far below the largest double.
+_SQUARE_MAX = 1e150
+
 IDENTITY = np.eye(2, dtype=complex)
 IDENTITY.flags.writeable = False
 
@@ -65,6 +69,24 @@ def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:
     return ValueError(f"{what} must be finite")
 
 
+def _finite_norm2(a: np.ndarray) -> float:
+    """Squared Frobenius norm of a 2x2 matrix.
+
+    Raises ValueError for a non-finite entry or a norm that overflows.
+    """
+    m = np.abs(a)
+    if m.max() > _SQUARE_MAX:
+        # a square may overflow: the ValueError below, not numpy's
+        # RuntimeWarning. errstate costs more than the sum, so only here
+        with np.errstate(over="ignore"):
+            norm2 = np.sum(m ** 2)
+    else:
+        norm2 = np.sum(m ** 2)
+    if not math.isfinite(norm2):
+        raise _nonfinite_error(a, "matrix")
+    return norm2
+
+
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD 2x2 matrix.
 
@@ -73,8 +95,7 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     ValueError for a non-finite entry or a norm that overflows.
     """
     a = np.asarray(a, dtype=complex)
-    if not math.isfinite(np.sum(np.abs(a) ** 2)):
-        raise _nonfinite_error(a, "matrix")
+    _finite_norm2(a)
     det = max(det2(a).real, 0.0)
     tr = (a[0, 0] + a[1, 1]).real
     s = np.sqrt(det)
@@ -92,9 +113,7 @@ def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for a non-finite entry or a norm that overflows.
     """
     e = np.asarray(e, dtype=complex)
-    norm2 = np.sum(np.abs(e) ** 2)
-    if not math.isfinite(norm2):
-        raise _nonfinite_error(e, "matrix")
+    norm2 = _finite_norm2(e)
     det = det2(e)
     if abs(det) <= ATOL:
         raise ValueError("degenerate input: polar decomposition requires an invertible matrix")

@@ -151,8 +151,14 @@ class TestPureQubit:
 
     def test_from_vector_norm_overflow_rejected(self):
         # every entry is finite, but the squared norm is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+        with pytest.raises(ValueError, match="norm overflows"):
             PureQubit.from_vector(np.array([1e200, 0.0]))
+
+    def test_from_vector_large_finite_norm(self):
+        # entries past the overflow guard whose norm is still finite
+        psi = PureQubit.from_vector(np.array([1e153, 1e153j]))
+        assert psi.alpha2 == pytest.approx(0.5, abs=1e-15)
+        assert psi.phi == pytest.approx(np.pi / 2, abs=1e-15)
 
     @given(
         alpha2=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
