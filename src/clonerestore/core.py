@@ -2,8 +2,9 @@
 
 Pure states live in a fixed gauge: real amplitudes alpha, beta >= 0 with
 alpha^2 + beta^2 = 1 and a relative phase phi in [0, 2*pi). Density
-matrices and channel elements are plain complex ndarrays;
-``KrausChannel`` checks its elements on construction.
+matrices and channel elements are plain complex ndarrays: ``KrausChannel``
+checks its elements on construction, and ``fidelity`` and
+``apply_channel`` reject a density matrix that is not a finite 2x2 array.
 """
 
 from __future__ import annotations
@@ -142,10 +143,21 @@ def state_vector(alpha2, phi) -> np.ndarray:
     return np.stack([np.sqrt(a) + 0j, np.sqrt(1.0 - a) * np.exp(1j * ph)], axis=-1)
 
 
+def _check_rho(rho) -> np.ndarray:
+    """rho as a complex array; ValueError unless it is a finite 2x2 array."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2) or not np.isfinite(rho).all():
+        raise ValueError("rho must be a finite 2x2 array")
+    return rho
+
+
 def fidelity(psi: PureQubit, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> between a pure state and a density matrix."""
+    """Overlap <psi|rho|psi> between a pure state and a density matrix.
+
+    Raises ValueError unless rho is a finite 2x2 array.
+    """
     v = psi.vector
-    return float(np.real(np.vdot(v, np.asarray(rho, dtype=complex) @ v)))
+    return float(np.real(np.vdot(v, _check_rho(rho) @ v)))
 
 
 def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
@@ -244,6 +256,8 @@ def error_channel(p_bit: float, p_ph: float) -> KrausChannel:
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_i E_i rho E_i^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("aij,jk,alk->il", ch.elements, rho, ch.elements.conj())
+    """Channel action sum_i E_i rho E_i^dag.
+
+    Raises ValueError unless rho is a finite 2x2 array.
+    """
+    return np.einsum("aij,jk,alk->il", ch.elements, _check_rho(rho), ch.elements.conj())

@@ -205,6 +205,13 @@ class TestFidelity:
     def test_orthogonal(self):
         assert fidelity(KET0, density(KET1)) == 0.0
 
+    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0]),
+                                     np.eye(3) / 3, np.ones(2)])
+    def test_invalid_rho_rejected(self, rho):
+        # a NaN rho gave a silent NaN
+        with pytest.raises(ValueError, match="rho"):
+            fidelity(make_pure(0.3, 1.0), rho)
+
 
 class TestErrorChannel:
     def test_probabilities_sum_to_one(self):
@@ -285,6 +292,13 @@ class TestKrausChannel:
                 assert np.max(np.abs(out - out.conj().T)) <= ATOL
                 assert abs(np.trace(out) - 1.0) <= ATOL
                 assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0]),
+                                     np.eye(3) / 3, np.ones(2)])
+    def test_invalid_rho_rejected(self, rho):
+        # a NaN rho gave an all-NaN output
+        with pytest.raises(ValueError, match="rho"):
+            apply_channel(error_channel(0.1, 0.2), rho)
 
     def test_apply_estimation_channel_matches_direct_sum(self):
         # direct matrix arithmetic with explicit element values
