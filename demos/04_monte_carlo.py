@@ -24,7 +24,7 @@ exact = exact_fidelity(psi, p_bit, p_ph)
 print(f"\nexact fidelity: {exact:.9f}")
 for trials in (1_000, 10_000, 100_000):
     res = mc_estimate(psi, p_bit, p_ph, trials, np.random.default_rng(7))
-    z = (res.mean - exact) / res.stderr
+    z = res.z(exact)
     print(f"  {trials:>7} trials: mean {res.mean:.6f}  stderr {res.stderr:.6f}  z {z:+.2f}")
 
 again = mc_estimate(psi, p_bit, p_ph, 100_000, np.random.default_rng(7))
