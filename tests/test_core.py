@@ -80,6 +80,10 @@ def density(psi):
     return np.outer(v, v.conj())
 
 
+# a NaN rho gave a silent NaN; a wrong shape reached numpy
+INVALID_RHOS = [np.full((2, 2), np.nan), np.diag([np.inf, 0.0]), np.eye(3) / 3, np.ones(2)]
+
+
 def random_density(rng):
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = g @ g.conj().T
@@ -205,10 +209,8 @@ class TestFidelity:
     def test_orthogonal(self):
         assert fidelity(KET0, density(KET1)) == 0.0
 
-    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0]),
-                                     np.eye(3) / 3, np.ones(2)])
+    @pytest.mark.parametrize("rho", INVALID_RHOS)
     def test_invalid_rho_rejected(self, rho):
-        # a NaN rho gave a silent NaN
         with pytest.raises(ValueError, match="rho"):
             fidelity(make_pure(0.3, 1.0), rho)
 
@@ -293,10 +295,8 @@ class TestKrausChannel:
                 assert abs(np.trace(out) - 1.0) <= ATOL
                 assert np.linalg.eigvalsh(out).min() >= -1e-10
 
-    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0]),
-                                     np.eye(3) / 3, np.ones(2)])
+    @pytest.mark.parametrize("rho", INVALID_RHOS)
     def test_invalid_rho_rejected(self, rho):
-        # a NaN rho gave an all-NaN output
         with pytest.raises(ValueError, match="rho"):
             apply_channel(error_channel(0.1, 0.2), rho)
 
