@@ -20,8 +20,8 @@ from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
 # alpha^2 rows evaluated, formatted and written at a time. It bounds the
-# plane kernel's (rows, n_phi, 4, 4, 4) complex intermediate to a few rows
-# whatever --grid-alpha is; the bytes written do not depend on it.
+# per-block format template and its values to a few rows whatever
+# --grid-alpha is; the bytes written do not depend on it.
 _BLOCK_ROWS = 4
 
 

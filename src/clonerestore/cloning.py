@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import KrausChannel, PureQubit, _read_only, make_pure, state_vector
+from .core import KrausChannel, PureQubit, _float_form, _form_values, _read_only, make_pure
 from .linalg import ATOL, dagger, is_psd, is_unitary, nearest_unitary
 
 _C_MAJOR = np.sqrt(2.0 / 3.0)   # weight of the copied component
@@ -186,13 +186,18 @@ def reversed_fidelity(psi: PureQubit) -> float:
     return total
 
 
+@lru_cache(maxsize=1)
+def _reversed_form() -> np.ndarray:
+    """Float Bloch form of sum_i |<v|sqrt(E_i^dag E_i)|v>|^2, entries correctly rounded."""
+    s = estimation_elements().sqrt_effects
+    return _read_only(_float_form(s, s, 120))
+
+
 def reversed_fidelity_plane(alpha2, phi) -> np.ndarray:
     """Vectorized ``reversed_fidelity`` over broadcast (alpha2, phi) arrays.
 
-    Uses the algebraic reduction sum_i |<psi|sqrt(E_i^dag E_i)|psi>|^2,
-    an independent route from the per-outcome composition above.
+    Evaluates the exact Bloch form of the algebraic reduction
+    sum_i |<psi|sqrt(E_i^dag E_i)|psi>|^2, an independent route from the
+    per-outcome composition above.
     """
-    v = state_vector(alpha2, phi)
-    s = estimation_elements().sqrt_effects
-    amps = np.einsum("...i,aij,...j->...a", v.conj(), s, v)
-    return np.sum(np.abs(amps) ** 2, axis=-1)
+    return _form_values(_reversed_form(), alpha2, phi)

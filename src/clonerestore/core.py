@@ -121,7 +121,8 @@ def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
     """Validate state-plane coordinates; returns them as float arrays.
 
     Every alpha2 must lie in [0, 1] and every phi must be finite; NaN
-    fails both tests. Raises ValueError otherwise.
+    fails both tests. Raises ValueError otherwise. phi comes back reduced
+    by ``PureQubit``'s rule: into [0, 2*pi), with a result of 2*pi made 0.
     """
     alpha2 = np.asarray(alpha2, dtype=float)
     if not np.all((alpha2 >= 0.0) & (alpha2 <= 1.0)):
@@ -129,18 +130,73 @@ def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
-    return alpha2, phi
+    phi = np.remainder(phi, TWO_PI)
+    return alpha2, np.where(phi == TWO_PI, 0.0, phi)
 
 
 def state_vector(alpha2, phi) -> np.ndarray:
     """Amplitude vectors for (alpha2, phi); broadcasts over array input.
 
     Returns an array of shape broadcast(alpha2, phi) + (2,). The gauge is
-    ``PureQubit``'s: the phase is 0 where alpha2 is 0 or 1.
+    ``PureQubit``'s for every finite phi: the phase is reduced into
+    [0, 2*pi), and it is 0 where alpha2 is 0 or 1.
     """
     a, ph = np.broadcast_arrays(*_check_plane(alpha2, phi))
     ph = np.where((a == 0.0) | (a == 1.0), 0.0, ph)
     return np.stack([np.sqrt(a) + 0j, np.sqrt(1.0 - a) * np.exp(1j * ph)], axis=-1)
+
+
+# Pauli basis (I, X, Y, Z): |v><v| = sum_k r_k sigma_k / 2 with r = (1, x, y, z).
+_PAULI_BASIS = _read_only(np.stack([np.eye(2), PAULI_X, [[0, -1j], [1j, 0]], PAULI_Z]))
+
+
+def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
+    """Numerators N over 8 * scale2 of the exact Bloch form of a sum of products.
+
+    ``a_ops`` and ``b_ops`` stack equally many operators A_n, B_n of shape
+    (..., 2, 2). N is the symmetric 4x4 integer matrix with
+    sum_n Re(conj(<v|A_n|v>) <v|B_n|v>) = r^T N r / (8 * scale2) at the
+    Bloch vector r = (1, x, y, z) of every unit vector v. ValueError unless
+    every tr(M sigma_k) sqrt(scale2) is a Gaussian integer to within 1e-9.
+    The sums are Python integers, so no product overflows.
+    """
+    _check_count(scale2, "scale2", 1)
+    columns = []
+    for ops in (a_ops, b_ops):
+        m = np.asarray(ops, dtype=complex)
+        if m.ndim < 2 or m.shape[-2:] != (2, 2):
+            raise ValueError("ops must have shape (..., 2, 2)")
+        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * np.sqrt(scale2)
+        g = np.round(c)
+        if not np.all(np.abs(c - g) <= 1e-9):
+            raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")
+        # column k lists the real, then the imaginary parts of every c_nk,
+        # so Re(conj(a) b) summed over n is a dot product of two columns
+        columns.append([[int(x) for x in col] for col in np.concatenate([g.real, g.imag]).T])
+    a, b = columns
+    d = [[sum(x * y for x, y in zip(ak, bj, strict=True)) for bj in b] for ak in a]
+    return [[d[k][j] + d[j][k] for j in range(4)] for k in range(4)]
+
+
+def _float_form(a_ops, b_ops, scale2: int) -> np.ndarray:
+    """``_form_numerators`` over 8 * scale2 as floats, each correctly rounded."""
+    den = 8 * int(scale2)
+    return np.array([[n / den for n in row] for row in _form_numerators(a_ops, b_ops, scale2)])
+
+
+def _form_values(form: np.ndarray, alpha2, phi) -> np.ndarray:
+    """r^T G r for a symmetric 4x4 float form G at the Bloch vectors
+    r = (1, x, y, z) of the states (alpha2, phi); broadcasts, and checks
+    and reduces the plane coordinates as ``state_vector`` does."""
+    alpha2, phi = _check_plane(alpha2, phi)
+    g = np.asarray(form, dtype=float)
+    # s^2 = x^2 + y^2: each term is a function of alpha2 times one of phi
+    z, s2 = 2.0 * alpha2 - 1.0, 4.0 * alpha2 * (1.0 - alpha2)
+    s, c, sn = np.sqrt(s2), np.cos(phi), np.sin(phi)
+    return (g[0, 0] + z * (2.0 * g[0, 3] + g[3, 3] * z)
+            + s2 * (g[1, 1] * c * c + 2.0 * g[1, 2] * c * sn + g[2, 2] * sn * sn)
+            + s * (2.0 * (g[0, 1] * c + g[0, 2] * sn))
+            + s * z * (2.0 * (g[1, 3] * c + g[2, 3] * sn)))
 
 
 def _check_rho(rho) -> np.ndarray:

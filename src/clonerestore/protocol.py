@@ -21,15 +21,15 @@ from .cloning import Outcome, _reversed_vector, estimation_elements, outcome_pro
 from .core import (
     _ERROR_OPERATORS,
     MAXIMALLY_MIXED,
-    PAULI_X,
-    PAULI_Z,
     ErrorType,
     PureQubit,
     _check_count,
     _check_plane,
+    _float_form,
+    _form_numerators,
+    _form_values,
     _read_only,
     error_probabilities,
-    state_vector,
 )
 from .linalg import dagger
 
@@ -115,8 +115,7 @@ def _branch_bank() -> np.ndarray:
     S_a is the Hermitian factor left after the sender's reversal, P_e
     the channel Pauli, and C the comparison correction. For any unit
     vector v, |<v|M v>|^2 is the joint branch weight (given error e)
-    times the branch overlap, which collapses the enumeration into one
-    contraction.
+    times the branch overlap: the sampler and ``_form_bank`` read it.
     """
     sqrt_effects = estimation_elements().sqrt_effects
     bank = np.empty((4, 4, 4, 2, 2), dtype=complex)
@@ -128,13 +127,27 @@ def _branch_bank() -> np.ndarray:
     return _read_only(bank)
 
 
-def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> np.ndarray:
-    """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays."""
-    v = state_vector(alpha2, phi)
+@lru_cache(maxsize=1)
+def _form_bank() -> np.ndarray:
+    """Float Bloch forms G[e] of ``_branch_bank()[:, e]`` per channel error,
+    then G[4] of the mixed input, sum_ab <v|E_a|v> <v|N N^dag|v> / 2 with
+    N = ``_receiver_operator(a, b)``. ValueError for a correction rule off
+    the Pauli lattice, which has no exact form."""
     bank = _branch_bank()
-    amps = np.einsum("...i,aebij,...j->...aeb", v.conj(), bank, v)
-    per_error = np.sum(np.abs(amps) ** 2, axis=(-3, -1))
-    return per_error @ error_probabilities(p_bit, p_ph)
+    forms = [_float_form(bank[:, e], bank[:, e], 120 ** 2) for e in ErrorType]
+    receivers = [_receiver_operator(a, b) for a in Outcome for b in Outcome]
+    forms.append(_float_form(np.repeat(estimation_elements().effects, 4, axis=0),
+                             [n @ dagger(n) / 2 for n in receivers], 24 ** 2))
+    return _read_only(np.stack(forms))
+
+
+def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> np.ndarray:
+    """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays.
+
+    The Bloch form sum_e p_e G_e of the per-error forms of ``_form_bank``.
+    """
+    form = np.tensordot(error_probabilities(p_bit, p_ph), _form_bank()[:4], axes=1)
+    return _form_values(form, alpha2, phi)
 
 
 def analytic_fidelity(alpha2, phi) -> np.ndarray | float:
@@ -164,25 +177,10 @@ def mixed_input_fidelity(psi: PureQubit) -> float:
     return total
 
 
-@lru_cache(maxsize=1)
-def _receiver_gram_bank() -> np.ndarray:
-    """G[a, b] = N N^dag for the receiver branch operator N = C U_b^dag E_b."""
-    bank = np.empty((4, 4, 2, 2), dtype=complex)
-    for alice in Outcome:
-        for bob in Outcome:
-            n = _receiver_operator(alice, bob)
-            bank[alice, bob] = n @ dagger(n)
-    return _read_only(bank)
-
-
 def mixed_input_fidelity_plane(alpha2, phi) -> np.ndarray:
-    """Vectorized ``mixed_input_fidelity`` over broadcast arrays."""
-    v = state_vector(alpha2, phi)
-    effects = estimation_elements().effects
-    p_alice = np.einsum("...i,aij,...j->...a", v.conj(), effects, v).real
-    gram = _receiver_gram_bank()
-    vals = np.einsum("...i,abij,...j->...ab", v.conj(), gram, v).real
-    return 0.5 * np.einsum("...a,...ab->...", p_alice, vals)
+    """Vectorized ``mixed_input_fidelity`` over broadcast arrays: the
+    mixed form of ``_form_bank``."""
+    return _form_values(_form_bank()[4], alpha2, phi)
 
 
 def baseline_fidelity_plane(alpha2, phi) -> np.ndarray | float:
@@ -222,10 +220,6 @@ def grid_average(values: np.ndarray) -> float:
     return float(w @ values.mean(axis=1) / (len(values) - 1))
 
 
-# Pauli basis (I, X, Y, Z): |v><v| = sum_k r_k sigma_k / 2 with r = (1, x, y, z).
-_PAULI_BASIS = _read_only(np.stack([np.eye(2), PAULI_X, [[0, -1j], [1j, 0]], PAULI_Z]))
-
-
 def bloch_form(ops, scale2: int) -> np.ndarray:
     """Exact quadratic form of sum_n |<v|M_n|v>|^2 in the Bloch vector.
 
@@ -234,29 +228,15 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
     sum_n |<v|M_n|v>|^2 = r^T G r for every unit vector v, where
     r = (1, x, y, z) is its Bloch vector. Each Pauli coefficient
     c_nk = tr(M_n sigma_k) times sqrt(scale2) must be a Gaussian integer
-    to within 1e-9, else ValueError; G is then built in integers over the
-    denominator 4 * scale2, as G_kl = sum_n Re(conj(c_nk) c_nl) / 4.
+    to within 1e-9, else ValueError; G is then built in integers, as
+    G_kl = sum_n Re(conj(c_nk) c_nl) / 4.
     """
     # imported here: fractions loads the decimal module, which no other
     # command of the CLI needs
     from fractions import Fraction
 
-    _check_count(scale2, "scale2", 1)
-    m = np.asarray(ops, dtype=complex)
-    if m.ndim < 2 or m.shape[-2:] != (2, 2):
-        raise ValueError("ops must have shape (..., 2, 2)")
-    c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * np.sqrt(scale2)
-    g = np.round(c)
-    if not np.all(np.abs(c - g) <= 1e-9):
-        raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")
-    re = [[int(x) for x in row] for row in g.real]
-    im = [[int(x) for x in row] for row in g.imag]
-    form = np.empty((4, 4), dtype=object)
-    for k in range(4):
-        for j in range(4):
-            num = sum(a[k] * a[j] + b[k] * b[j] for a, b in zip(re, im))
-            form[k, j] = Fraction(num, 4 * scale2)
-    return form
+    num = _form_numerators(ops, ops, scale2)
+    return np.array([[Fraction(n, 8 * int(scale2)) for n in row] for row in num], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ def _exchanged_rule(alice, bob):
 
 def _clear_bank_caches():
     protocol._branch_bank.cache_clear()
-    protocol._receiver_gram_bank.cache_clear()
+    protocol._form_bank.cache_clear()
 
 
 @pytest.fixture

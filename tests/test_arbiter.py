@@ -37,10 +37,10 @@ EVALUATORS = {
 
 # (wrong cells, largest error in units of 2^-53), each an upper bound
 PINS = {
-    "exact": (3, 12.2),
-    "mixed": (3, 13.4),
+    "exact": (0, 2.7),
+    "mixed": (0, 1.9),
     "analytic": (0, 3.3),
-    "reversed": (13, 10.0),
+    "reversed": (0, 1.5),
     "baseline": (0, 2.3),
 }
 

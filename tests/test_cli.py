@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from clonerestore import protocol
 from clonerestore.cli import main
 from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv):
@@ -128,6 +134,23 @@ class TestSweep:
         code, stdout, _ = run_cli(argv + ["--out", str(target)])
         assert (code, stdout) == (0, "")
         assert target.read_bytes() == out.encode("ascii")
+
+    def test_sweep_loads_neither_fractions_nor_decimal(self):
+        # the exact forms are compiled in integers; only bloch_form, which
+        # the sweep never calls, needs Fraction (and so decimal)
+        script = (
+            "import contextlib, io, sys\n"
+            "from clonerestore.cli import main\n"
+            "for mode in ('exact', 'mixed', 'mc'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2',"
+            " '--trials', '2', '--pbit', '0.3'])\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
@@ -251,13 +274,13 @@ class TestVerify:
         monkeypatch.setattr(protocol, "correction_unitary",
                             lambda alice, bob: np.eye(2) if alice == bob else hadamard)
         protocol._branch_bank.cache_clear()
-        protocol._receiver_gram_bank.cache_clear()
+        protocol._form_bank.cache_clear()
         try:
             report = run_checks()
         finally:
             monkeypatch.undo()
             protocol._branch_bank.cache_clear()
-            protocol._receiver_gram_bank.cache_clear()
+            protocol._form_bank.cache_clear()
         failed = {r.name: r.deviation for r in report.results if not r.passed}
         assert failed["plane-averages"] == float("inf")
         assert failed["fidelity-floor-and-exceptions"] == float("inf")

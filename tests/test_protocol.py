@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import linalg, protocol
+from clonerestore import cloning, core, linalg, protocol
 from clonerestore.cloning import (
     Outcome,
     estimation_elements,
@@ -454,8 +454,8 @@ class TestSharedArrays:
         ch = error_channel(0.2, 0.3)
         shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
                   est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
-                  ch.elements, ch.effects, protocol._branch_bank(), protocol._receiver_gram_bank(),
-                  protocol._PAULI_BASIS, linalg.IDENTITY,
+                  ch.elements, ch.effects, protocol._branch_bank(), protocol._form_bank(),
+                  cloning._reversed_form(), core._PAULI_BASIS, linalg.IDENTITY,
                   *(correction_unitary(a, b) for a in Outcome for b in Outcome)]
         for arr in shared:
             before = arr.copy()
