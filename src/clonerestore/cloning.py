@@ -186,13 +186,6 @@ def reversed_fidelity(psi: PureQubit) -> float:
     return total
 
 
-@lru_cache(maxsize=1)
-def _reversed_form() -> np.ndarray:
-    """Float Bloch form of sum_i |<v|sqrt(E_i^dag E_i)|v>|^2, entries correctly rounded."""
-    s = estimation_elements().sqrt_effects
-    return _read_only(_float_form(s, s, 120))
-
-
 def reversed_fidelity_plane(alpha2, phi) -> np.ndarray:
     """Vectorized ``reversed_fidelity`` over broadcast (alpha2, phi) arrays.
 
@@ -200,4 +193,5 @@ def reversed_fidelity_plane(alpha2, phi) -> np.ndarray:
     sum_i |<psi|sqrt(E_i^dag E_i)|psi>|^2, an independent route from the
     per-outcome composition above.
     """
-    return _form_values(_reversed_form(), alpha2, phi)
+    s = estimation_elements().sqrt_effects
+    return _form_values(_float_form(s, s, 120), alpha2, phi)

@@ -98,6 +98,13 @@ def _random_plane_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, 
     return rng.random(n), rng.random(n) * 2 * np.pi
 
 
+def _route_residual(plane, scalar, alpha2, phi, *rates) -> float:
+    """Largest |plane - scalar| at the states (alpha2, phi): a vectorised
+    kernel against the scalar reference route of the same quantity."""
+    reference = [scalar(core.make_pure(a, p), *rates) for a, p in zip(alpha2, phi)]
+    return float(np.max(np.abs(plane(alpha2, phi, *rates) - reference)))
+
+
 def _haar_average(form: np.ndarray):
     """Average of r^T G r over the Bloch sphere.
 
@@ -282,13 +289,11 @@ def _check_reversal_floor(rng):
     extremes = _sphere_extremes(form)
     if extremes is None:
         return float("inf")
-    # the form kernel against the per-outcome composition
-    a2, phi = _random_plane_points(rng, 20)
-    scalar = [cloning.reversed_fidelity(core.make_pure(a, p)) for a, p in zip(a2, phi)]
-    residual = np.max(np.abs(cloning.reversed_fidelity_plane(a2, phi) - scalar))
+    residual = _route_residual(cloning.reversed_fidelity_plane, cloning.reversed_fidelity,
+                               *_random_plane_points(rng, 20))
     # |0> has r = (1, 0, 0, 1) and the form is diagonal
     return max(_exact_deviation((extremes[0], "5/6"), (form[0, 0] + form[3, 3], "13/15")),
-               float(residual))
+               residual)
 
 
 def _check_quadrant_preservation(rng):
@@ -326,11 +331,9 @@ def _check_triple_agreement(rng):
     exact = protocol.exact_fidelity_plane(aa, pp)
     mixed = protocol.mixed_input_fidelity_plane(aa, pp)
     analytic = protocol.analytic_fidelity(aa, pp)
-    # the mixed form kernel against its reference route
-    a2, phi = _random_plane_points(rng, 20)
-    scalar = [protocol.mixed_input_fidelity(core.make_pure(a, p)) for a, p in zip(a2, phi)]
-    return float(max(np.max(np.abs(exact - analytic)), np.max(np.abs(exact - mixed)),
-                     np.max(np.abs(protocol.mixed_input_fidelity_plane(a2, phi) - scalar))))
+    return max(float(np.max(np.abs(exact - analytic))), float(np.max(np.abs(exact - mixed))),
+               _route_residual(protocol.mixed_input_fidelity_plane, protocol.mixed_input_fidelity,
+                               *_random_plane_points(rng, 20)))
 
 
 def _check_outcome_agreement_identities(rng):
@@ -378,12 +381,10 @@ def _check_plane_averages(rng):
         return float("inf")
     a2, phi = _random_plane_points(rng, 100)
     p_bit, p_ph = rng.random(2)
-    # the exact form kernel against the 64-branch enumeration, at a few of
-    # the states; the baseline's closed form against its exact form
-    scalar = [protocol.exact_fidelity(core.make_pure(a, p), p_bit, p_ph)
-              for a, p in zip(a2[:5], phi[:5])]
+    # the enumeration costs 0.6 ms a state: a few of them
     residual = max(
-        np.max(np.abs(protocol.exact_fidelity_plane(a2[:5], phi[:5], p_bit, p_ph) - scalar)),
+        _route_residual(protocol.exact_fidelity_plane, protocol.exact_fidelity,
+                        a2[:5], phi[:5], p_bit, p_ph),
         np.max(np.abs(core._form_values(baseline.astype(float), a2, phi)
                       - protocol.baseline_fidelity_plane(a2, phi))),
     )
