@@ -151,17 +151,15 @@ _PAULI_BASIS = _read_only(np.stack([np.eye(2), PAULI_X, [[0, -1j], [1j, 0]], PAU
 
 
 def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
-    """Numerators N over 8 * scale2 of the exact Bloch form of a sum of products.
+    """Symmetric integers N, sum_n Re(conj(<v|A_n|v>) <v|B_n|v>) = r^T N r / (8 scale2).
 
-    ``a_ops`` and ``b_ops`` stack equally many operators A_n, B_n of shape
-    (..., 2, 2). N is the symmetric 4x4 integer matrix with
-    sum_n Re(conj(<v|A_n|v>) <v|B_n|v>) = r^T N r / (8 * scale2) at the
-    Bloch vector r = (1, x, y, z) of every unit vector v. ValueError unless
-    every tr(M sigma_k) sqrt(scale2) is a Gaussian integer to within 1e-9.
-    The sums are Python integers, so no product overflows.
+    A_n and B_n stack equally many (..., 2, 2) operators, and r = (1, x, y, z)
+    is the Bloch vector of the unit vector v. ValueError unless every
+    tr(M sigma_k) sqrt(scale2) is a Gaussian integer to within 1e-9. The
+    sums are Python integers, so no product overflows.
     """
     _check_count(scale2, "scale2", 1)
-    columns = []
+    rows = []
     for ops in (a_ops, b_ops):
         m = np.asarray(ops, dtype=complex)
         if m.ndim < 2 or m.shape[-2:] != (2, 2):
@@ -170,24 +168,22 @@ def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
         g = np.round(c)
         if not np.all(np.abs(c - g) <= 1e-9):
             raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")
-        # column k lists the real, then the imaginary parts of every c_nk,
-        # so Re(conj(a) b) summed over n is a dot product of two columns
-        columns.append([[int(x) for x in col] for col in np.concatenate([g.real, g.imag]).T])
-    a, b = columns
-    d = [[sum(x * y for x, y in zip(ak, bj, strict=True)) for bj in b] for ak in a]
+        # row k: the real, then the imaginary parts of c_nk over n, so the
+        # sum over n of Re(conj(a_k) b_l) is a dot product of two rows
+        rows.append([[int(x) for x in row] for row in np.concatenate([g.real, g.imag]).T])
+    d = [[sum(x * y for x, y in zip(a, b, strict=True)) for b in rows[1]] for a in rows[0]]
     return [[d[k][j] + d[j][k] for j in range(4)] for k in range(4)]
 
 
 def _float_form(a_ops, b_ops, scale2: int) -> np.ndarray:
-    """``_form_numerators`` over 8 * scale2 as floats, each correctly rounded."""
-    den = 8 * int(scale2)
-    return np.array([[n / den for n in row] for row in _form_numerators(a_ops, b_ops, scale2)])
+    """``_form_numerators`` over 8 * scale2; int / int is correctly rounded."""
+    num = _form_numerators(a_ops, b_ops, scale2)
+    return np.array([[n / (8 * int(scale2)) for n in row] for row in num])
 
 
 def _form_values(form: np.ndarray, alpha2, phi) -> np.ndarray:
-    """r^T G r for a symmetric 4x4 float form G at the Bloch vectors
-    r = (1, x, y, z) of the states (alpha2, phi); broadcasts, and checks
-    and reduces the plane coordinates as ``state_vector`` does."""
+    """r^T G r for a symmetric 4x4 float G at the Bloch vectors r = (1, x, y, z)
+    of the states (alpha2, phi), checked and broadcast as in ``state_vector``."""
     alpha2, phi = _check_plane(alpha2, phi)
     g = np.asarray(form, dtype=float)
     # s^2 = x^2 + y^2: each term is a function of alpha2 times one of phi
@@ -195,8 +191,7 @@ def _form_values(form: np.ndarray, alpha2, phi) -> np.ndarray:
     s, c, sn = np.sqrt(s2), np.cos(phi), np.sin(phi)
     return (g[0, 0] + z * (2.0 * g[0, 3] + g[3, 3] * z)
             + s2 * (g[1, 1] * c * c + 2.0 * g[1, 2] * c * sn + g[2, 2] * sn * sn)
-            + s * (2.0 * (g[0, 1] * c + g[0, 2] * sn))
-            + s * z * (2.0 * (g[1, 3] * c + g[2, 3] * sn)))
+            + 2.0 * s * (g[0, 1] * c + g[0, 2] * sn + z * (g[1, 3] * c + g[2, 3] * sn)))
 
 
 def _check_rho(rho) -> np.ndarray:
@@ -220,11 +215,15 @@ def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     """Partial trace of a three-qubit pure state down to one qubit.
 
     The state is an 8-vector indexed big-endian, index = 4 q1 + 2 q2 + q3.
-    ``keep`` selects the surviving qubit (1, 2, or 3).
+    ``keep`` selects the surviving qubit (1, 2, or 3). Raises ValueError
+    for an entry that is not finite or exceeds 1e150.
     """
     if keep not in (1, 2, 3):
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
     state = np.asarray(state, dtype=complex).reshape(8)
+    # past _SQUARE_MAX a product may overflow; NaN fails the test too
+    if not np.abs(state).max() <= _SQUARE_MAX:
+        raise ValueError("state entries must be finite and at most 1e150")
     t = state.reshape(2, 2, 2)
     others = [ax for ax in range(3) if ax != keep - 1]
     return np.tensordot(t, t.conj(), axes=(others, others))
@@ -291,7 +290,8 @@ class KrausChannel:
         if not np.isfinite(elements).all():
             raise ValueError("elements must be finite")
         effects = np.einsum("aji,ajk->aik", elements.conj(), elements)
-        if np.max(np.abs(effects.sum(axis=0) - np.eye(2))) > ATOL:
+        # an overflowing product can leave a NaN, which fails this test too
+        if not np.max(np.abs(effects.sum(axis=0) - np.eye(2))) <= ATOL:
             raise ValueError("operation elements violate completeness")
         object.__setattr__(self, "elements", _read_only(elements))
         object.__setattr__(self, "effects", _read_only(effects))

@@ -8,7 +8,9 @@ unitary polar factor. No iterative decompositions.
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -27,31 +29,53 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def det2(a: np.ndarray) -> complex:
-    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+def det2(a: np.ndarray) -> np.complex128:
+    """Determinant of a 2x2 matrix; ValueError when it is not finite. Python's
+    complex product has numpy's bits but never warns, so an overflow gets here."""
+    det = complex(a[0, 0]) * complex(a[1, 1]) - complex(a[0, 1]) * complex(a[1, 0])
+    if not cmath.isfinite(det):
+        raise ValueError("determinant is not finite")
+    return np.complex128(det)
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance: (Tr[(a-b)^dag (a-b)])^(1/2)."""
-    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return float(np.sqrt(np.sum(np.abs(d) ** 2)))
+    """Hilbert-Schmidt distance: (Tr[(a-b)^dag (a-b)])^(1/2).
+
+    Raises ValueError for a non-finite entry, or when the squared norm of
+    a, b or a - b overflows; while those of a and b are finite, a - b is.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    _finite_norm2(a)
+    _finite_norm2(b)
+    return float(np.sqrt(_finite_norm2(a - b)))
 
 
 def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
-    return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
+    # past _SQUARE_MAX a - a^dag may overflow, but only where the two differ
+    with np.errstate(over="ignore") if np.abs(a).max() > _SQUARE_MAX else nullcontext():
+        return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
+    if np.abs(a).max() > _SQUARE_MAX:
+        return False    # a unitary's entries are at most 1; the product may overflow
     return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
 
 
 def is_psd(a: np.ndarray) -> bool:
-    """Hermitian with both eigenvalues >= -ATOL (2x2 trace/det form)."""
+    """Hermitian with both eigenvalues >= -ATOL (2x2 trace/det form).
+
+    A matrix with an entry above _SQUARE_MAX, whose square may overflow,
+    is divided by its largest entry first, so there the test is relative.
+    """
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a):
         return False
+    largest = np.abs(a).max()
+    if largest > _SQUARE_MAX:
+        a = a / largest
     tr = (a[0, 0] + a[1, 1]).real
     det = det2(a).real
     disc = max(tr * tr / 4.0 - det, 0.0)
@@ -92,13 +116,16 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
 
     Uses sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
     valid for every PSD matrix except A = 0, which maps to 0. Raises
-    ValueError for a non-finite entry or a norm that overflows.
+    ValueError for a non-finite entry, a norm that overflows, or a
+    negative tr A + 2 sqrt(det A), which no PSD matrix has.
     """
     a = np.asarray(a, dtype=complex)
     _finite_norm2(a)
     det = max(det2(a).real, 0.0)
     tr = (a[0, 0] + a[1, 1]).real
     s = np.sqrt(det)
+    if tr + 2.0 * s < 0.0:
+        raise ValueError("matrix is not PSD")
     denom = np.sqrt(tr + 2.0 * s)
     if denom == 0.0:
         return np.zeros((2, 2), dtype=complex)

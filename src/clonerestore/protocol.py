@@ -295,7 +295,9 @@ def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("vectors must have shape (N, 2)")
-    if not np.all(np.abs(np.sum(np.abs(v) ** 2, axis=-1) - 1.0) <= 1e-12):
+    m = np.abs(v)
+    # a unit vector's entries are at most 1: tested first, no square overflows
+    if not (np.all(m <= 1.0 + 1e-12) and np.all(np.abs(np.sum(m ** 2, axis=-1) - 1.0) <= 1e-12)):
         raise ValueError("vectors must be normalized")
     amps = np.einsum("aebij,nj->naebi", _branch_bank(), v)
     # joint weight (given error) and overlap per branch

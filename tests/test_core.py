@@ -189,6 +189,15 @@ class TestStateVector:
             a2, phi = alpha2_grid(n), phi_grid(min(n, 37))
             expected = np.array([[make_pure(a, p).vector for p in phi] for a in a2])
             assert np.array_equal(state_vector(a2[:, None], phi[None, :]), expected)
+        # off the grid both reduce phi by one rule; a phase that rounds to
+        # 2*pi, such as -5e-324, becomes 0
+        rng = np.random.default_rng(5)
+        two_pi = 2 * np.pi
+        phi = np.concatenate([rng.uniform(-20, 20, 500), [1e300, -1e300, -5e-324, two_pi,
+                                                           -two_pi, np.nextafter(two_pi, 0)]])
+        a2 = rng.random(phi.size)
+        expected = np.array([make_pure(a, p).vector for a, p in zip(a2, phi)])
+        assert np.array_equal(state_vector(a2, phi), expected)
 
     def test_domain(self):
         for alpha2, phi in [([0.5, 1.5], 0.0), (np.nan, 0.0), ([0.5, np.nan], 0.0),
@@ -277,8 +286,11 @@ class TestKrausChannel:
                 KrausChannel(np.full((1, 2, 2), value))
 
     def test_incomplete_elements_rejected(self):
-        with pytest.raises(ValueError, match="completeness"):
-            KrausChannel(np.stack([np.eye(2, dtype=complex), PAULI_X]))
+        # finite elements whose effects overflow into NaN
+        overflowing = np.array([[[1e300 - 1e300j, 1e300], [-1e300 - 1e300j, 1e300j]]])
+        for elements in (np.stack([np.eye(2, dtype=complex), PAULI_X]), overflowing):
+            with pytest.raises(ValueError, match="completeness"):
+                KrausChannel(elements)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):

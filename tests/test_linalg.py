@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clonerestore.core import (
+    KrausChannel,
+    PureQubit,
+    apply_channel,
+    error_channel,
+    fidelity,
+    make_pure,
+    reduce_qubit,
+    state_vector,
+)
 from clonerestore.linalg import (
     dagger,
+    det2,
     haar_random_unitary,
     hs_distance,
     is_hermitian,
@@ -188,3 +201,67 @@ class TestNonfiniteInput:
         # every entry is finite, but the squared norm is not
         with pytest.raises(ValueError, match="norm overflows"):
             f(np.diag([1e200, 1e200]))
+
+
+class TestOverflow:
+    # finite input whose squares or products overflow
+    def test_overflowing_products(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            hs_distance(np.diag([1e200, 1]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="determinant"):
+            det2(np.diag([1e200, 1e200]))
+        assert not is_unitary(np.diag([1e200, 1]))
+        assert is_psd(np.diag([1e200, 1]))
+        assert not is_psd(np.diag([1e200, -1e200]))
+        assert not is_hermitian(np.array([[1e308, 1e308], [-1e308, 1]]))
+        assert is_hermitian(np.array([[1e308, 1e308], [1e308, 1]]))
+
+    def test_not_psd_rejected_by_sqrtm(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            sqrtm_psd(np.diag([-1.0, 0.0]))
+
+
+# zeros, subnormals and +-1e+-300: each function returns a finite value or
+# raises ValueError, and never warns (pytest turns a warning into an error)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0]
+PSI = make_pure(0.3, 1.0)
+ARRAY_FUNCTIONS = {
+    "dagger": (4, lambda x: dagger(x.reshape(2, 2))),
+    "det2": (4, lambda x: det2(x.reshape(2, 2))),
+    "hs_distance": (8, lambda x: hs_distance(x[:4].reshape(2, 2), x[4:].reshape(2, 2))),
+    "is_hermitian": (4, lambda x: is_hermitian(x.reshape(2, 2))),
+    "is_unitary": (4, lambda x: is_unitary(x.reshape(2, 2))),
+    "is_psd": (4, lambda x: is_psd(x.reshape(2, 2))),
+    "sqrtm_psd": (4, lambda x: sqrtm_psd(x.reshape(2, 2))),
+    "polar_decompose": (4, lambda x: polar_decompose(x.reshape(2, 2))),
+    "nearest_unitary": (4, lambda x: nearest_unitary(x.reshape(2, 2))),
+    "fidelity": (4, lambda x: fidelity(PSI, x.reshape(2, 2))),
+    "apply_channel": (4, lambda x: apply_channel(error_channel(0.2, 0.3), x.reshape(2, 2))),
+    "reduce_qubit": (8, lambda x: reduce_qubit(x, 2)),
+    "from_vector": (2, lambda x: PureQubit.from_vector(x)),
+    "KrausChannel": (4, lambda x: KrausChannel(x.reshape(1, 2, 2))),
+    "state_vector": (1, lambda x: state_vector(0.5, x[0].real)),
+}
+
+
+def assert_finite(out):
+    if isinstance(out, PureQubit):
+        out = (out.alpha, out.beta, out.phi)
+    if isinstance(out, KrausChannel):
+        out = (out.elements, out.effects)
+    for part in out if isinstance(out, tuple) else (out,):
+        assert np.isfinite(np.asarray(part, dtype=complex)).all()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FUNCTIONS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_finite_extremes_give_finite_output_or_value_error(name, data):
+    size, f = ARRAY_FUNCTIONS[name]
+    entry = st.builds(complex, st.sampled_from(EXTREMES), st.sampled_from(EXTREMES))
+    x = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=complex)
+    try:
+        out = f(x)
+    except ValueError:
+        return
+    assert_finite(out)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import cloning, core, linalg, protocol
+from clonerestore import core, linalg, protocol
 from clonerestore.cloning import (
     Outcome,
     estimation_elements,
@@ -455,7 +455,7 @@ class TestSharedArrays:
         shared = [PAULI_X, PAULI_Z, MAXIMALLY_MIXED, *(e.operator for e in ErrorType),
                   est.elements, est.effects, est.reversal_unitaries, est.sqrt_effects,
                   ch.elements, ch.effects, protocol._branch_bank(), protocol._form_bank(),
-                  cloning._reversed_form(), core._PAULI_BASIS, linalg.IDENTITY,
+                  core._PAULI_BASIS, linalg.IDENTITY,
                   *(correction_unitary(a, b) for a in Outcome for b in Outcome)]
         for arr in shared:
             before = arr.copy()
@@ -631,8 +631,9 @@ class TestMcEstimates:
         for trials in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="trials"):
                 mc_estimates(KET0.vector[None], 0.0, 0.0, trials, [rng])
+        # [[1e200, 0]] is finite, but its square overflows
         for vectors in (KET0.vector, np.ones((1, 3)), np.zeros((1, 2)), [[1.0, 1.0]],
-                        [[np.nan, 0.0]]):
+                        [[np.nan, 0.0]], [[1e200, 0.0]]):
             with pytest.raises(ValueError, match="vectors"):
                 mc_estimates(vectors, 0.0, 0.0, 10, [rng])
         with pytest.raises(ValueError, match="p_bit"):
