@@ -164,7 +164,7 @@ def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
         m = np.asarray(ops, dtype=complex)
         if m.ndim < 2 or m.shape[-2:] != (2, 2):
             raise ValueError("ops must have shape (..., 2, 2)")
-        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * np.sqrt(scale2)
+        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * math.sqrt(scale2)
         g = np.round(c)
         if not np.all(np.abs(c - g) <= 1e-9):
             raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")

@@ -269,7 +269,8 @@ class TestVerify:
 
     def test_non_pauli_rule_fails_without_traceback(self, monkeypatch):
         # a correction outside the Pauli group takes the branch operators off
-        # the Gaussian-integer lattice, so no exact form can be built
+        # the Gaussian-integer lattice, so no exact form can be built: the
+        # exact checks and every check of a form kernel report inf
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         monkeypatch.setattr(protocol, "correction_unitary",
                             lambda alice, bob: np.eye(2) if alice == bob else hadamard)
@@ -282,8 +283,10 @@ class TestVerify:
             protocol._branch_bank.cache_clear()
             protocol._form_bank.cache_clear()
         failed = {r.name: r.deviation for r in report.results if not r.passed}
-        assert failed["plane-averages"] == float("inf")
-        assert failed["fidelity-floor-and-exceptions"] == float("inf")
+        for name in ("error-rate-independence", "exact-analytic-mixed-agreement",
+                     "fidelity-floor-and-exceptions", "plane-averages",
+                     "sweep-exact-mixed-columns"):
+            assert failed[name] == float("inf")
 
     # runs after test_swapped_rule_detected, so it also checks that the
     # fixture's teardown restores the rule and rebuilds the branch banks

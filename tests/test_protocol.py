@@ -395,6 +395,9 @@ class TestBlochForm:
 
     def test_input_contract(self):
         np.testing.assert_array_equal(bloch_form(ELEMENTS, 12), bloch_form(ELEMENTS, np.int64(12)))
+        # numerators past int64: the sums are Python integers
+        assert bloch_form(I2 * 2.0 ** 40, 1)[0, 0] == 2 ** 80
+        assert bloch_form(I2, 2 ** 70)[0, 0] == 1
         for scale2 in (0, -4, 1.0, True, "1"):
             with pytest.raises(ValueError, match="scale2"):
                 bloch_form(I2, scale2)
