@@ -182,8 +182,9 @@ def _float_form(a_ops, b_ops, scale2: int) -> np.ndarray:
 
 
 def _form_values(form: np.ndarray, alpha2, phi) -> np.ndarray:
-    """r^T G r for a symmetric 4x4 float G at the Bloch vectors r = (1, x, y, z)
-    of the states (alpha2, phi), checked and broadcast as in ``state_vector``."""
+    """r^T G r for a symmetric 4x4 G, taken as floats, at the Bloch vectors
+    r = (1, x, y, z) of the states (alpha2, phi), checked and broadcast as
+    in ``state_vector``."""
     alpha2, phi = _check_plane(alpha2, phi)
     g = np.asarray(form, dtype=float)
     # s^2 = x^2 + y^2: each term is a function of alpha2 times one of phi

@@ -31,8 +31,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def det2(a: np.ndarray) -> np.complex128:
     """Determinant of a 2x2 matrix; ValueError when it is not finite. Python's
-    complex product has numpy's bits but never warns, so an overflow gets here."""
-    det = complex(a[0, 0]) * complex(a[1, 1]) - complex(a[0, 1]) * complex(a[1, 0])
+    products have numpy's bits but never warn, so an overflow gets here."""
+    (a00, a01), (a10, a11) = a.tolist()
+    det = a00 * a11 - a01 * a10
     if not cmath.isfinite(det):
         raise ValueError("determinant is not finite")
     return np.complex128(det)

@@ -142,10 +142,8 @@ def _form_bank() -> np.ndarray:
 
 
 def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> np.ndarray:
-    """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays.
-
-    The Bloch form sum_e p_e G_e of the per-error forms of ``_form_bank``.
-    """
+    """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays:
+    the p_e-weighted sum of the per-error forms of ``_form_bank``."""
     form = np.tensordot(error_probabilities(p_bit, p_ph), _form_bank()[:4], axes=1)
     return _form_values(form, alpha2, phi)
 

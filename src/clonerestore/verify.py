@@ -384,8 +384,8 @@ def _check_plane_averages(rng):
     # the enumeration costs 0.6 ms a state: a few of them
     residual = max(
         _route_residual(protocol.exact_fidelity_plane, protocol.exact_fidelity,
-                        a2[:5], phi[:5], p_bit, p_ph),
-        np.max(np.abs(core._form_values(baseline.astype(float), a2, phi)
+                        a2[:3], phi[:3], p_bit, p_ph),
+        np.max(np.abs(core._form_values(baseline, a2, phi)
                       - protocol.baseline_fidelity_plane(a2, phi))),
     )
     return max(_exact_deviation((avg_protocol, "16/27"), (avg_baseline, "2/3")), float(residual))
