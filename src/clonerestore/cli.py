@@ -192,14 +192,15 @@ def cmd_mc(args) -> int:
     psi = make_pure(args.alpha2, args.phi)
     exact = protocol.exact_fidelity(psi, args.pbit, args.pph)
     rng = np.random.default_rng(args.seed)
-    res = protocol.mc_estimate(psi, args.pbit, args.pph, args.trials, rng)
-    z = res.z(exact)
+    (mean,), (stderr,) = protocol.mc_estimates(psi.vector[None], args.pbit, args.pph,
+                                               args.trials, (rng,))
+    z = protocol.z_score(mean, stderr, exact)
     print(f"alpha2={_fmt(args.alpha2)}")
     print(f"phi={_fmt(args.phi)}")
-    print(f"trials={res.trials}")
+    print(f"trials={args.trials}")
     print(f"seed={args.seed}")
-    print(f"mean={_fmt(res.mean)}")
-    print(f"stderr={_fmt(res.stderr)}")
+    print(f"mean={_fmt(mean)}")
+    print(f"stderr={_fmt(stderr)}")
     print(f"exact={_fmt(exact)}")
     print(f"z={_fmt(z)}")
     ok = abs(z) <= 4.0

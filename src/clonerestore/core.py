@@ -10,6 +10,7 @@ checks its elements on construction, and ``fidelity`` and
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
 from numbers import Integral
@@ -206,10 +207,19 @@ def _check_rho(rho) -> np.ndarray:
 def fidelity(psi: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi|rho|psi> between a pure state and a density matrix.
 
-    Raises ValueError unless rho is a finite 2x2 array.
+    Raises ValueError unless rho is a finite 2x2 array, or when the
+    overlap is not finite: only an entry above 1e150 can overflow it.
     """
     v = psi.vector
-    return float(np.real(np.vdot(v, _check_rho(rho) @ v)))
+    rho = _check_rho(rho)
+    # past _SQUARE_MAX rho @ v may overflow: the ValueError below, not numpy's
+    # RuntimeWarning. errstate costs more than the product, so only there
+    with (np.errstate(over="ignore", invalid="ignore") if np.abs(rho).max() > _SQUARE_MAX
+          else nullcontext()):
+        f = float(np.real(np.vdot(v, rho @ v)))
+    if not math.isfinite(f):
+        raise ValueError("fidelity overflows")
+    return f
 
 
 def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:

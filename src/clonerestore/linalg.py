@@ -80,7 +80,7 @@ def is_psd(a: np.ndarray) -> bool:
     tr = (a[0, 0] + a[1, 1]).real
     det = det2(a).real
     disc = max(tr * tr / 4.0 - det, 0.0)
-    return tr / 2.0 - np.sqrt(disc) >= -ATOL
+    return bool(tr / 2.0 - np.sqrt(disc) >= -ATOL)
 
 
 def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:

@@ -12,7 +12,6 @@ three coincide, which is exactly the protocol's error-rate independence.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -237,31 +236,12 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
     return np.array([[Fraction(n, 8 * int(scale2)) for n in row] for row in num], dtype=object)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One sampled run of the full protocol."""
-
-    alice: Outcome
-    error: ErrorType
-    bob: Outcome
-    final: PureQubit
-    overlap: float
-
-
-@dataclass(frozen=True)
-class MCResult:
-    """Monte Carlo fidelity estimate over independent trajectories."""
-
-    mean: float
-    stderr: float
-    trials: int
-
-    def z(self, exact: float) -> float:
-        """z-score of the mean against ``exact``; with a zero standard
-        error, 0 if the mean equals ``exact`` to 1e-12, else inf."""
-        if self.stderr > 0.0:
-            return (self.mean - exact) / self.stderr
-        return 0.0 if abs(self.mean - exact) <= 1e-12 else float("inf")
+def z_score(mean: float, stderr: float, exact: float) -> float:
+    """z-score of a Monte Carlo mean against ``exact``; with a zero
+    standard error, 0 if the mean equals ``exact`` to 1e-12, else inf."""
+    if stderr > 0.0:
+        return (mean - exact) / stderr
+    return 0.0 if abs(mean - exact) <= 1e-12 else float("inf")
 
 
 def _count_at_most(cum, x):
@@ -279,15 +259,23 @@ def _count_at_most(cum, x):
     return count
 
 
-def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
-                     rngs: Iterable[np.random.Generator]
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one Monte Carlo sampler, with the arguments of ``mc_estimates``.
+def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
+                    rngs: Iterable[np.random.Generator]
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one Monte Carlo sampler: ``trials`` protocol runs per input state.
 
-    Yields, vector by vector, its 64 branch overlaps and ``trials`` branch
-    indices 16 alice + 4 error + bob, drawn from the exact conditional
-    distributions with three ``rng.random(trials)`` calls. The branch
-    tables of all N vectors come from one contraction.
+    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
+    yields exactly one generator per vector and may be lazy. Yields,
+    vector by vector, its 64 branch overlaps and ``trials`` branch
+    indices. A run is one branch: Alice's outcome, then the channel
+    error, then Bob's outcome, drawn from the exact conditional
+    distributions with three ``rng.random(trials)`` calls per state. The
+    index is 16 alice + 4 error + bob, the C-order flat index into the
+    (alice, error, bob) axes of ``_branch_bank()``, so
+    ``np.unravel_index(branches, (4, 4, 4))`` decodes it; the run's
+    overlap is ``overlaps[branch]``. The branch tables of all N vectors
+    come from one contraction. The arguments are checked at the first
+    ``next``.
     """
     _check_count(trials, "trials", 1)
     v = np.asarray(vectors, dtype=complex)
@@ -321,44 +309,33 @@ def _sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
         yield overlaps[n], branches
 
 
-def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
-                   rng: np.random.Generator) -> TrajectoryRecord:
-    """Sample one protocol run: outcomes, error, correction, overlap.
-
-    One trial of the ``mc_estimates`` sampler; ``final`` is the drawn
-    branch operator's action on psi, in canonical gauge.
-    """
-    v = psi.vector
-    overlaps, branches = next(_sample_branches(v[None], p_bit, p_ph, 1, (rng,)))
-    branch = int(branches[0])
-    a, e, b = branch // 16, branch // 4 % 4, branch % 4
-    final = PureQubit.from_vector(_branch_bank()[a, e, b] @ v)
-    return TrajectoryRecord(Outcome(a), ErrorType(e), Outcome(b), final, float(overlaps[branch]))
-
-
 def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
                  rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors for a stack of input states.
 
-    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
-    yields exactly one generator per vector and may be lazy. Each point
-    averages the overlaps of ``trials`` draws of ``run_trajectory``'s
-    sampler. Deterministic for fixed generator states.
+    Each point averages the overlaps of its ``trials`` runs drawn by
+    ``sample_branches``, which takes the same arguments. Deterministic
+    for fixed generator states.
     """
     means, stderrs = [], []
-    for overlaps, branches in _sample_branches(vectors, p_bit, p_ph, trials, rngs):
+    for overlaps, branches in sample_branches(vectors, p_bit, p_ph, trials, rngs):
         sample = overlaps.take(branches)
         means.append(sample.mean())
         stderrs.append(sample.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0)
     return np.array(means), np.array(stderrs)
 
 
+# perfbench/probe.py calls these two one-state forms by name to time the
+# sampler's first call; they are not exported, and no command calls them.
 def mc_estimate(psi: PureQubit, p_bit: float, p_ph: float, trials: int,
-                rng: np.random.Generator) -> MCResult:
-    """Monte Carlo mean and standard error of the trajectory overlap.
-
-    One point of ``mc_estimates``. Deterministic for a fixed generator
-    state.
-    """
+                rng: np.random.Generator) -> tuple[float, float]:
+    """The mean and standard error of ``mc_estimates`` at psi alone."""
     means, stderrs = mc_estimates(psi.vector[None], p_bit, p_ph, trials, (rng,))
-    return MCResult(float(means[0]), float(stderrs[0]), trials)
+    return float(means[0]), float(stderrs[0])
+
+
+def run_trajectory(psi: PureQubit, p_bit: float, p_ph: float,
+                   rng: np.random.Generator) -> int:
+    """One protocol run at psi: the branch index ``sample_branches`` draws."""
+    _, branches = next(sample_branches(psi.vector[None], p_bit, p_ph, 1, (rng,)))
+    return int(branches[0])

@@ -211,7 +211,7 @@ def _check_channel_density(rng):
 def _check_sampling_frequencies(rng):
     n = 100_000
     ket0 = core.make_pure(1.0, 0.0).vector[None]
-    _, branches = next(protocol._sample_branches(ket0, 0.0, 0.0, n, (rng,)))
+    _, branches = next(protocol.sample_branches(ket0, 0.0, 0.0, n, (rng,)))
     # Alice's outcome of branch 16 alice + 4 error + bob
     counts = np.bincount(branches // 16, minlength=4)
     probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
@@ -396,8 +396,8 @@ def _check_monte_carlo(rng):
     for a2, phi in _SPOT_STATES:
         psi = core.make_pure(a2, phi)
         exact = protocol.exact_fidelity(psi, 0.1, 0.2)
-        res = protocol.mc_estimate(psi, 0.1, 0.2, 100_000, rng)
-        worst = max(worst, abs(res.z(exact)))
+        (mean,), (stderr,) = protocol.mc_estimates(psi.vector[None], 0.1, 0.2, 100_000, (rng,))
+        worst = max(worst, abs(protocol.z_score(mean, stderr, exact)))
     return worst
 
 

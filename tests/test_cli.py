@@ -61,9 +61,10 @@ def expected_sweep(mode, n_alpha, n_phi, pbit=0.0, pph=0.0, trials=0, seed=0):
             fields = [a2, phi, primary[i, j], analytic[i, j]]
             if mode == "mc":
                 rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
-                res = protocol.mc_estimate(make_pure(a2, phi), pbit, pph, trials, rng)
-                fields += [res.mean, res.stderr]
-                averaged[i, j] = res.mean
+                (mean,), (stderr,) = protocol.mc_estimates(make_pure(a2, phi).vector[None],
+                                                           pbit, pph, trials, (rng,))
+                fields += [mean, stderr]
+                averaged[i, j] = mean
             lines.append(",".join(format(float(x), ".12g") for x in fields))
     average = protocol.grid_average(averaged)
     lines.append(f"# average={format(average, '.12g')}")

@@ -178,6 +178,11 @@ class TestPredicates:
         assert not is_psd(np.diag([1.0, -1e-6]))
         assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("f", [is_hermitian, is_unitary, is_psd])
+    def test_answers_are_python_bools(self, f):
+        for a in (I2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1e200, 1.0])):
+            assert type(f(a)) is bool
+
     def test_haar_samples_are_unitary(self):
         rng = np.random.default_rng(23)
         for t in haar_random_unitary(rng, 100):
@@ -215,15 +220,21 @@ class TestOverflow:
         assert not is_psd(np.diag([1e200, -1e200]))
         assert not is_hermitian(np.array([[1e308, 1e308], [-1e308, 1]]))
         assert is_hermitian(np.array([[1e308, 1e308], [1e308, 1]]))
+        equator = make_pure(0.5, 0.0)
+        with pytest.raises(ValueError, match="fidelity overflows"):
+            fidelity(equator, np.full((2, 2), 1.7e308))
+        assert fidelity(equator, np.diag([1e200, 1])) == pytest.approx(5e199)
 
     def test_not_psd_rejected_by_sqrtm(self):
         with pytest.raises(ValueError, match="not PSD"):
             sqrtm_psd(np.diag([-1.0, 0.0]))
 
 
-# zeros, subnormals and +-1e+-300: each function returns a finite value or
-# raises ValueError, and never warns (pytest turns a warning into an error)
-EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0]
+# zeros, subnormals, +-1e+-300 and up to the largest double: each function
+# returns a finite value or raises ValueError, and never warns (pytest turns
+# a warning into an error)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
 PSI = make_pure(0.3, 1.0)
 ARRAY_FUNCTIONS = {
     "dagger": (4, lambda x: dagger(x.reshape(2, 2))),

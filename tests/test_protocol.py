@@ -27,7 +27,6 @@ from clonerestore.core import (
     make_pure,
 )
 from clonerestore.protocol import (
-    MCResult,
     alpha2_grid,
     analytic_fidelity,
     baseline_fidelity_plane,
@@ -37,12 +36,12 @@ from clonerestore.protocol import (
     exact_fidelity,
     exact_fidelity_plane,
     grid_average,
-    mc_estimate,
     mc_estimates,
     mixed_input_fidelity,
     mixed_input_fidelity_plane,
     phi_grid,
-    run_trajectory,
+    sample_branches,
+    z_score,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -271,6 +270,20 @@ class TestAnalyticFidelity:
             with pytest.raises(ValueError):
                 f(*args)
 
+    def test_coefficients_are_the_exact_form(self):
+        # r^T G r with r = (1, x, y, z) on the sphere, where z = 2a - 1,
+        # x^2 + y^2 = 4a(1 - a) and x^2 = 4a(1 - a) cos^2 phi
+        g = protocol_form()
+        assert all(g[k, m] == 0 for k in range(4) for m in range(4) if k != m)
+        one, xx, yy, zz = np.diag(g)
+        # coefficients of 1, a, a^2 and a(1 - a) cos^2 phi
+        coefficients = (one + zz, 4 * yy - 4 * zz, 4 * zz - 4 * yy, 4 * (xx - yy))
+        assert coefficients == (Fraction(5, 9), Fraction(-2, 9), Fraction(2, 9), Fraction(8, 9))
+        c0, c1, c2, c3 = map(float, coefficients)
+        for a, phi in [(0.0, 0.0), (0.3, 2.0), (0.5, np.pi / 3), (0.85, 5.5), (1.0, 1.0)]:
+            assert analytic_fidelity(a, phi) == pytest.approx(
+                c0 + c1 * a + c2 * a ** 2 + c3 * a * (1 - a) * np.cos(phi) ** 2, abs=1e-15)
+
     def test_matches_exact_on_grid(self):
         aa = alpha2_grid(41)[:, None]
         pp = phi_grid(41)[None, :]
@@ -437,17 +450,21 @@ class TestProtocolProperties:
            seed=st.integers(0, 2**32 - 1))
     def test_trajectory_final_in_canonical_gauge(self, alpha2, phi, p_bit, p_ph, seed):
         psi = make_pure(alpha2, phi)
-        rec = run_trajectory(psi, p_bit, p_ph, np.random.default_rng(seed))
-        out = rec.final
+        overlaps, branches = next(sample_branches(psi.vector[None], p_bit, p_ph, 1,
+                                                  (np.random.default_rng(seed),)))
+        branch = branches[0]
+        a, e, b = np.unravel_index(branch, (4, 4, 4))
+        _, out = branch_statistics(psi, Outcome(a), ErrorType(e), Outcome(b))
         assert out.alpha >= 0.0 and out.beta >= 0.0
         assert out.alpha ** 2 + out.beta ** 2 == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= out.phi < 2 * np.pi
         if out.alpha == 0.0 or out.beta == 0.0:
             assert out.phi == 0.0
         # the drawn branch operator's action on psi, up to a global phase
-        w = protocol._branch_bank()[rec.alice, rec.error, rec.bob] @ psi.vector
+        w = protocol._branch_bank()[a, e, b] @ psi.vector
         assert abs(np.vdot(out.vector, w)) ** 2 / np.vdot(w, w).real == pytest.approx(1.0, abs=1e-12)
-        assert rec.overlap == pytest.approx(abs(np.vdot(psi.vector, out.vector)) ** 2, abs=1e-12)
+        assert overlaps[branch] == pytest.approx(abs(np.vdot(psi.vector, out.vector)) ** 2,
+                                                 abs=1e-12)
 
 
 class TestSharedArrays:
@@ -473,68 +490,74 @@ class TestSharedArrays:
         mine *= 1
 
 
+def draw(psi, p_bit, p_ph, trials, seed):
+    """``sample_branches`` at the one state psi: (overlaps, branches)."""
+    return next(sample_branches(psi.vector[None], p_bit, p_ph, trials,
+                                (np.random.default_rng(seed),)))
+
+
 class TestRunTrajectory:
+    """One protocol run is one branch that ``sample_branches`` draws."""
+
     @pytest.mark.parametrize("p_bit, p_ph", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.6)])
     def test_one_trial_of_the_mc_sampler(self, p_bit, p_ph):
+        # protocol.run_trajectory, which perfbench/probe.py calls
         for k, (a2, phi) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.5, np.pi / 2), (0.3, 2.0)]):
             psi = make_pure(a2, phi)
             rng, sampler_rng = np.random.default_rng(60 + k), np.random.default_rng(60 + k)
             for _ in range(20):
-                rec = run_trajectory(psi, p_bit, p_ph, rng)
-                overlaps, branches = next(protocol._sample_branches(
-                    psi.vector[None], p_bit, p_ph, 1, (sampler_rng,)))
-                assert 16 * rec.alice + 4 * rec.error + rec.bob == branches[0]
-                assert rec.overlap == overlaps[branches[0]]
+                branch = protocol.run_trajectory(psi, p_bit, p_ph, rng)
+                _, branches = next(sample_branches(psi.vector[None], p_bit, p_ph, 1,
+                                                   (sampler_rng,)))
+                assert branch == branches[0]
                 assert rng.bit_generator.state == sampler_rng.bit_generator.state
 
     def test_final_is_the_branch_state(self):
-        # the constructive route: measure, reverse, error, measure, reverse, correct
-        rng = np.random.default_rng(6)
+        # the constructive route: measure, reverse, error, measure, reverse,
+        # correct; the sampler's overlap table agrees with it
         for a2, phi in [(1.0, 0.0), (0.6, 0.5), (0.2, 4.0)]:
             psi = make_pure(a2, phi)
-            for _ in range(20):
-                rec = run_trajectory(psi, 0.4, 0.7, rng)
-                _, final = branch_statistics(psi, rec.alice, rec.error, rec.bob)
-                np.testing.assert_allclose(rec.final.vector, final.vector, atol=1e-12)
+            overlaps, branches = draw(psi, 0.4, 0.7, 20, 6)
+            for branch, a, e, b in zip(branches, *np.unravel_index(branches, (4, 4, 4))):
+                _, final = branch_statistics(psi, Outcome(a), ErrorType(e), Outcome(b))
+                w = protocol._branch_bank()[a, e, b] @ psi.vector
+                np.testing.assert_allclose(final.vector, PureQubit.from_vector(w).vector,
+                                           atol=1e-12)
+                assert overlaps[branch] == pytest.approx(
+                    abs(np.vdot(psi.vector, final.vector)) ** 2, abs=1e-12)
 
     def test_seed_determinism(self):
         psi = make_pure(0.4, 2.2)
-        a = run_trajectory(psi, 0.3, 0.6, np.random.default_rng(77))
-        b = run_trajectory(psi, 0.3, 0.6, np.random.default_rng(77))
-        assert a == b
+        a = draw(psi, 0.3, 0.6, 50, 77)
+        b = draw(psi, 0.3, 0.6, 50, 77)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_certain_bit_flip_always_drawn(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            rec = run_trajectory(make_pure(0.8, 0.3), 1.0, 0.0, rng)
-            assert rec.error is ErrorType.BIT_FLIP
+        _, branches = draw(make_pure(0.8, 0.3), 1.0, 0.0, 50, 1)
+        errors = np.unravel_index(branches, (4, 4, 4))[1]
+        assert (errors == ErrorType.BIT_FLIP).all()
 
     def test_overlap_in_unit_interval(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            rec = run_trajectory(make_pure(0.6, 5.0), 0.2, 0.7, rng)
-            assert 0.0 <= rec.overlap <= 1.0 + 1e-12
+        overlaps, branches = draw(make_pure(0.6, 5.0), 0.2, 0.7, 200, 2)
+        sample = overlaps.take(branches)
+        assert (sample >= 0.0).all() and (sample <= 1.0 + 1e-12).all()
 
     def test_mean_overlap_converges_to_exact(self):
-        psi = KET0
-        rng = np.random.default_rng(3)
         n = 20000
-        overlaps = np.array([run_trajectory(psi, 0.0, 0.0, rng).overlap for _ in range(n)])
-        stderr = overlaps.std(ddof=1) / np.sqrt(n)
-        assert abs(overlaps.mean() - 5 / 9) <= 4 * stderr
+        overlaps, branches = draw(KET0, 0.0, 0.0, n, 3)
+        sample = overlaps.take(branches)
+        stderr = sample.std(ddof=1) / np.sqrt(n)
+        assert abs(sample.mean() - 5 / 9) <= 4 * stderr
 
     def test_outcome_frequencies_match_branch_probabilities(self):
         psi = make_pure(0.3, 0.9)
         p_bit, p_ph = 0.25, 0.5
         n = 4000
-        rng = np.random.default_rng(4)
-        counts = np.zeros((4, 4, 4))
-        for _ in range(n):
-            rec = run_trajectory(psi, p_bit, p_ph, rng)
-            counts[rec.alice, rec.error, rec.bob] += 1
+        _, branches = draw(psi, p_bit, p_ph, n, 4)
+        counts = np.bincount(branches, minlength=64).reshape(4, 4, 4)
         p_err = [(1 - p_bit) * (1 - p_ph), p_bit * (1 - p_ph),
                  p_ph * (1 - p_bit), p_bit * p_ph]
-        from clonerestore.cloning import outcome_probability
         for a in range(4):
             pa = outcome_probability(psi, Outcome(a))
             for e in range(4):
@@ -546,32 +569,34 @@ class TestRunTrajectory:
 
 
 class TestMcEstimate:
+    """One state at a time: ``mc_estimates`` on a one-row stack."""
+
     def test_determinism(self):
-        psi = make_pure(0.7, 1.0)
-        a = mc_estimate(psi, 0.1, 0.2, 5000, np.random.default_rng(5))
-        b = mc_estimate(psi, 0.1, 0.2, 5000, np.random.default_rng(5))
-        assert a == b
+        row = make_pure(0.7, 1.0).vector[None]
+        a = mc_estimates(row, 0.1, 0.2, 5000, (np.random.default_rng(5),))
+        b = mc_estimates(row, 0.1, 0.2, 5000, (np.random.default_rng(5),))
+        np.testing.assert_array_equal(a, b)
 
     def test_consistency_with_exact(self):
         rng = np.random.default_rng(6)
         for a2, phi in [(1.0, 0.0), (0.5, np.pi / 2), (0.3, 2.0)]:
             psi = make_pure(a2, phi)
-            res = mc_estimate(psi, 0.2, 0.4, 50000, rng)
+            (mean,), (stderr,) = mc_estimates(psi.vector[None], 0.2, 0.4, 50000, (rng,))
             exact = exact_fidelity(psi, 0.2, 0.4)
-            assert abs(res.mean - exact) <= 4 * max(res.stderr, 1e-12)
+            assert stderr >= 0.0
+            assert abs(mean - exact) <= 4 * max(stderr, 1e-12)
 
     def test_result_fields(self):
-        res = mc_estimate(KET0, 0.0, 0.0, 100, np.random.default_rng(7))
-        assert isinstance(res, MCResult)
-        assert res.trials == 100
-        assert res.stderr >= 0.0
+        # protocol.mc_estimate, which perfbench/probe.py calls
+        res = protocol.mc_estimate(KET0, 0.0, 0.0, 100, np.random.default_rng(7))
+        (mean,), (stderr,) = mc_estimates(KET0.vector[None], 0.0, 0.0, 100,
+                                          (np.random.default_rng(7),))
+        assert res == (mean, stderr)
 
-    def test_trials_domain(self):
-        with pytest.raises(ValueError):
-            mc_estimate(KET0, 0.0, 0.0, 0, np.random.default_rng(0))
-        for trials in (2.5, True, 100.0, "10"):
-            with pytest.raises(ValueError, match="trials must be an integer"):
-                mc_estimate(KET0, 0.0, 0.0, trials, np.random.default_rng(0))
+    def test_z_score(self):
+        assert z_score(0.6, 0.05, 0.5) == pytest.approx(2.0)
+        assert z_score(0.5 + 1e-13, 0.0, 0.5) == 0.0
+        assert z_score(0.5 + 1e-9, 0.0, 0.5) == float("inf")
 
 
 def _reference_mc(psi, p_bit, p_ph, trials, rng):
@@ -607,9 +632,10 @@ class TestMcEstimates:
                                       trials, iter(batched_rngs))
         for k, psi in enumerate(psis):
             single_rng, reference_rng = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
-            res = mc_estimate(psi, p_bit, p_ph, trials, single_rng)
-            assert (means[k], stderrs[k]) == (res.mean, res.stderr)
-            assert (res.mean, res.stderr) == _reference_mc(psi, p_bit, p_ph, trials, reference_rng)
+            (mean,), (stderr,) = mc_estimates(psi.vector[None], p_bit, p_ph, trials,
+                                              (single_rng,))
+            assert (means[k], stderrs[k]) == (mean, stderr)
+            assert (mean, stderr) == _reference_mc(psi, p_bit, p_ph, trials, reference_rng)
             state = reference_rng.bit_generator.state
             assert single_rng.bit_generator.state == state
             assert batched_rngs[k].bit_generator.state == state
@@ -631,8 +657,11 @@ class TestMcEstimates:
 
     def test_input_contract(self):
         rng = np.random.default_rng(0)
-        for trials in (0, -3, 2.5, True):
+        for trials in (0, -3):
             with pytest.raises(ValueError, match="trials"):
+                mc_estimates(KET0.vector[None], 0.0, 0.0, trials, [rng])
+        for trials in (2.5, True, 100.0, "10"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
                 mc_estimates(KET0.vector[None], 0.0, 0.0, trials, [rng])
         # [[1e200, 0]] is finite, but its square overflows
         for vectors in (KET0.vector, np.ones((1, 3)), np.zeros((1, 2)), [[1.0, 1.0]],
