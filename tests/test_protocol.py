@@ -593,6 +593,13 @@ class TestMcEstimate:
                                           (np.random.default_rng(7),))
         assert res == (mean, stderr)
 
+    def test_trials_domain(self):
+        with pytest.raises(ValueError):
+            protocol.mc_estimate(KET0, 0.0, 0.0, 0, np.random.default_rng(0))
+        for trials in (2.5, True, 100.0, "10"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                protocol.mc_estimate(KET0, 0.0, 0.0, trials, np.random.default_rng(0))
+
     def test_z_score(self):
         assert z_score(0.6, 0.05, 0.5) == pytest.approx(2.0)
         assert z_score(0.5 + 1e-13, 0.0, 0.5) == 0.0
