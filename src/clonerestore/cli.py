@@ -135,7 +135,8 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     f_mc = np.empty(shape)
     mc_err = np.empty(shape)
     # one mc_estimates call per alpha^2 row: its branch tables are built
-    # together, and the lazy generators keep one point's stream alive at a time
+    # together, and the sampler draws a block of consecutive points at a
+    # time, so at most one block's generators and draws are alive at once
     for di, a2 in enumerate(aa[:, 0]):
         vectors = state_vector(a2, pp[0])
         rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))

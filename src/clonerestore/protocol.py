@@ -244,38 +244,37 @@ def z_score(mean: float, stderr: float, exact: float) -> float:
     return 0.0 if abs(mean - exact) <= 1e-12 else float("inf")
 
 
-def _count_at_most(cum, x):
-    """How many of cum[0], ..., cum[k-2] are <= x: the inverse-CDF draw.
+# Protocol runs drawn and classified in one pass of the sampler: a block
+# of consecutive states holds at most this many runs, and a state with
+# more runs fills a block alone. It bounds the draw buffers whatever the
+# stack or trial count; the draws do not depend on it.
+_BLOCK_DRAWS = 2 ** 13
 
-    ``cum`` holds the cumulative probabilities of k outcomes on its first
-    axis; its other axes broadcast against x, whose shape the result has.
-    Since they never decrease, this is the first outcome whose cumulative
-    probability exceeds x, clamped to k - 1.
+
+def _inverse_cdf(thresholds, x) -> np.ndarray:
+    """How many of the three ``thresholds`` are <= x, as uint8: the draw.
+
+    The thresholds are the first three cumulative probabilities of four
+    outcomes and broadcast against x. Since they never decrease, the
+    count is the first outcome whose cumulative probability exceeds x,
+    clamped to 3. ``thresholds`` may be lazy: one is alive at a time.
     """
-    # one comparison at a time: no (k - 1, size) temporary
-    count = np.zeros(np.shape(x), dtype=np.intp)
-    for c in cum[:-1]:
-        count += c <= x
+    thresholds = iter(thresholds)
+    # a bool is one byte of 0 or 1, so its uint8 view adds without a cast
+    count = (next(thresholds) <= x).view(np.uint8)
+    for t in thresholds:
+        count += (t <= x).view(np.uint8)
     return count
 
 
-def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
-                    rngs: Iterable[np.random.Generator]
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one Monte Carlo sampler: ``trials`` protocol runs per input state.
+def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
+                   rngs: Iterable[np.random.Generator]
+                   ) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """Check the sampler's arguments and build every state's branch tables.
 
-    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
-    yields exactly one generator per vector and may be lazy. Yields,
-    vector by vector, its 64 branch overlaps and ``trials`` branch
-    indices. A run is one branch: Alice's outcome, then the channel
-    error, then Bob's outcome, drawn from the exact conditional
-    distributions with three ``rng.random(trials)`` calls per state. The
-    index is 16 alice + 4 error + bob, the C-order flat index into the
-    (alice, error, bob) axes of ``_branch_bank()``, so
-    ``np.unravel_index(branches, (4, 4, 4))`` decodes it; the run's
-    overlap is ``overlaps[branch]``. The branch tables of all N vectors
-    come from one contraction. The arguments are checked at the first
-    ``next``.
+    Returns the (N, 64) branch overlaps and a generator of blocks: the
+    first state of the block and the uint8 branch indices of its states,
+    shape (states, trials), drawn as ``sample_branches`` documents.
     """
     _check_count(trials, "trials", 1)
     v = np.asarray(vectors, dtype=complex)
@@ -293,20 +292,66 @@ def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     overlaps = np.nan_to_num(overlaps).reshape(len(v), 64)
 
     p_alice = norms2[:, :, 0, :].sum(axis=-1)       # error slot 0 is the identity
-    total_alice = p_alice.sum(axis=-1)
-    cum_alice = np.cumsum(p_alice, axis=-1)
+    total_alice = p_alice.sum(axis=-1)[:, None]
+    cum_alice = np.cumsum(p_alice, axis=-1).T[:, :, None]
     cum_err = np.cumsum(error_probabilities(p_bit, p_ph))
-    # cum_bob[n, :, 4a + e] is the cumulative P(bob | alice, error) row
+    # cum_bob[:, 16 n + 4 alice + error] is state n's cumulative
+    # P(bob | alice, error) row
     cond_bob = norms2 / p_alice[:, :, None, None]
-    cum_bob = np.cumsum(cond_bob, axis=-1).reshape(len(v), 16, 4).transpose(0, 2, 1).copy()
+    cum_bob = np.cumsum(cond_bob, axis=-1).reshape(-1, 4).T.copy()
 
-    for n, rng in zip(range(len(v)), rngs, strict=True):
-        a_draw = _count_at_most(cum_alice[n], rng.random(trials) * total_alice[n])
-        row = 4 * a_draw + _count_at_most(cum_err, rng.random(trials))
-        bob_rows = cum_bob[n].take(row, axis=1)
-        branches = _count_at_most(bob_rows, rng.random(trials) * bob_rows[3])
-        branches += 4 * row     # in place: no extra index array while the caller reduces
-        yield overlaps[n], branches
+    def blocks():
+        per_block = max(1, _BLOCK_DRAWS // trials)
+        u = np.empty((min(per_block, len(v)), 3, trials))
+        for n, rng in zip(range(len(v)), rngs, strict=True):
+            i = n % per_block
+            # the same doubles, and the same final generator state, as
+            # three rng.random(trials) calls
+            rng.random(out=u[i])
+            if i + 1 < len(u) and n + 1 < len(v):
+                continue
+            lo, hi = n - i, n + 1
+            # views of the buffer, scaled in place: it is refilled next block
+            alice, error, bob = u[:i + 1].transpose(1, 0, 2)
+            alice *= total_alice[lo:hi]
+            row = _inverse_cdf(cum_alice[:3, lo:hi], alice)
+            row <<= 2
+            row += _inverse_cdf(cum_err[:3], error)
+            col = np.arange(16 * lo, 16 * hi, 16)[:, None] + row
+            bob *= cum_bob[3].take(col)
+            branches = _inverse_cdf((c.take(col) for c in cum_bob[:3]), bob)
+            row <<= 2
+            branches += row
+            yield lo, branches
+
+    return overlaps, blocks()
+
+
+def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
+                    rngs: Iterable[np.random.Generator]
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one Monte Carlo sampler: ``trials`` protocol runs per input state.
+
+    ``vectors`` holds N unit amplitude vectors, shape (N, 2); ``rngs``
+    yields exactly one generator per vector and may be lazy. Returns a
+    generator that yields, vector by vector, its 64 branch overlaps and
+    ``trials`` branch indices. A run is one branch: Alice's outcome, then
+    the channel error, then Bob's outcome, drawn from the exact
+    conditional distributions with one ``rng.random`` call per state,
+    which gives the doubles of three ``rng.random(trials)`` calls. The
+    index is 16 alice + 4 error + bob, the C-order flat index into the
+    (alice, error, bob) axes of ``_branch_bank()``, so
+    ``np.unravel_index(branches, (4, 4, 4))`` decodes it; the run's
+    overlap is ``overlaps[branch]``. The branch tables of all N vectors
+    come from one contraction, and the runs of a block of consecutive
+    vectors, at most 2**13 unless one vector has more, are classified
+    together; the draws do not depend on the blocks. The arguments are
+    checked at the call; a generator count other than N raises
+    ValueError when the generators are drawn from.
+    """
+    overlaps, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    return ((overlaps[lo + i], branches.astype(np.intp))
+            for lo, block in blocks for i, branches in enumerate(block))
 
 
 def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
@@ -317,12 +362,19 @@ def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
     ``sample_branches``, which takes the same arguments. Deterministic
     for fixed generator states.
     """
-    means, stderrs = [], []
-    for overlaps, branches in sample_branches(vectors, p_bit, p_ph, trials, rngs):
-        sample = overlaps.take(branches)
-        means.append(sample.mean())
-        stderrs.append(sample.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0)
-    return np.array(means), np.array(stderrs)
+    overlaps, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    means = np.empty(len(overlaps))
+    stderrs = np.zeros(len(overlaps))
+    for lo, branches in blocks:
+        hi = lo + len(branches)
+        sample = overlaps.ravel().take(np.arange(64 * lo, 64 * hi, 64)[:, None] + branches)
+        # numpy's own mean and std(ddof=1) arithmetic, one row per state
+        means[lo:hi] = np.add.reduce(sample, axis=1) / trials
+        if trials > 1:
+            sample -= means[lo:hi, None]
+            sample *= sample
+            stderrs[lo:hi] = np.sqrt(np.add.reduce(sample, axis=1) / (trials - 1)) / np.sqrt(trials)
+    return means, stderrs
 
 
 # perfbench/probe.py calls these two one-state forms by name to time the

@@ -103,8 +103,14 @@ _EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
     (["mc", "--alpha2", "1", "--phi", "0", "--pbit", "1", "--pph", "0", "--trials", "1000",
       "--seed", "5"],
      "0378a54e3bd84d1a56606beed977f83b680cd2bfdb4d053c2f36f350972ecdcf"),
+    # a row of 41 points at 1000 trials spans several full sampler blocks
+    # and a partial last one
+    (["sweep", "--grid-alpha", "3", "--grid-phi", "41", "--mode", "mc", "--trials", "1000",
+      "--seed", "11", "--pbit", "0.3", "--pph", "0.6", "--out", "-"],
+     "5cc66f9a1c88d3738c3f12c53cae341a260bf9492b6d09ff51e5ce2e512cbf70"),
 ], ids=["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc",
-        "sweep-mc-two-trials", "sweep-mc-certain-errors", "mc-pole-bit-flip"])
+        "sweep-mc-two-trials", "sweep-mc-certain-errors", "mc-pole-bit-flip",
+        "sweep-mc-sampler-blocks"])
 def test_golden_bytes(argv, digest):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")

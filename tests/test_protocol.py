@@ -677,3 +677,78 @@ class TestMcEstimates:
                 mc_estimates(vectors, 0.0, 0.0, 10, [rng])
         with pytest.raises(ValueError, match="p_bit"):
             mc_estimates(KET0.vector[None], 1.5, 0.0, 10, [rng])
+
+    def test_sample_branches_checks_at_the_call(self):
+        # no next(): the checks and the tables come before the generator
+        rng = np.random.default_rng(0)
+        for vectors, p_bit, trials, what in ((KET0.vector[None], 0.0, 0, "trials"),
+                                             (np.zeros(3), 0.0, 10, "vectors"),
+                                             ([[1.0, 1.0]], 0.0, 10, "vectors"),
+                                             (KET0.vector[None], 1.5, 10, "p_bit")):
+            with pytest.raises(ValueError, match=what):
+                sample_branches(vectors, p_bit, 0.0, trials, [rng])
+        with pytest.raises(ValueError, match="trials"):
+            sample_branches(np.zeros(3), 0, 0, 0, [])
+
+
+class TestSamplerBlocks:
+    """A stack drawn in blocks of states gives each state's own draws, bit for bit."""
+
+    # poles, the equator and generic states, with rates that leave zero-width
+    # steps in the cumulative error table
+    VECTORS = core.state_vector(np.linspace(0.0, 1.0, 41), 0.7 * np.arange(41))
+
+    @staticmethod
+    def per_state(vectors, trials, seeds):
+        """(overlaps, branches, mean, stderr, final generator state) per state."""
+        out = []
+        for v, seed in zip(vectors, seeds):
+            rng, mc_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            overlaps, branches = next(sample_branches(v[None], 0.3, 0.0, trials, (rng,)))
+            (mean,), (stderr,) = mc_estimates(v[None], 0.3, 0.0, trials, (mc_rng,))
+            assert mc_rng.bit_generator.state == rng.bit_generator.state
+            out.append((overlaps, branches, mean, stderr, rng.bit_generator.state))
+        return out
+
+    # 41 states at 1000 trials span several full blocks and a partial last
+    # one; more trials than a block holds put one state in each block; a
+    # block of 3 draws makes 1 and 2 trials span blocks too
+    @pytest.mark.parametrize("n_states, trials, block_draws", [
+        (41, 1000, None), (41, 1, None), (41, 2, None), (41, 1, 3), (41, 2, 3),
+        (3, protocol._BLOCK_DRAWS + 1, None)])
+    def test_stack_matches_per_state(self, monkeypatch, n_states, trials, block_draws):
+        if block_draws is not None:
+            monkeypatch.setattr(protocol, "_BLOCK_DRAWS", block_draws)
+        vectors = self.VECTORS[:n_states]
+        seeds = [np.random.SeedSequence((11, k)) for k in range(n_states)]
+        expected = self.per_state(vectors, trials, seeds)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        drawn = list(sample_branches(vectors, 0.3, 0.0, trials, iter(rngs)))
+        mc_rngs = (np.random.default_rng(seed) for seed in seeds)
+        means, stderrs = mc_estimates(vectors, 0.3, 0.0, trials, mc_rngs)
+        assert len(drawn) == n_states
+        for k, (overlaps, branches, mean, stderr, state) in enumerate(expected):
+            assert drawn[k][1].dtype == np.intp and drawn[k][1].shape == (trials,)
+            np.testing.assert_array_equal(drawn[k][0], overlaps)
+            np.testing.assert_array_equal(drawn[k][1], branches)
+            assert (means[k], stderrs[k]) == (mean, stderr)
+            assert rngs[k].bit_generator.state == state
+
+    def test_generators_are_drawn_one_block_ahead_at_most(self):
+        per_block = protocol._BLOCK_DRAWS // 1000
+        made = []
+
+        def rngs():
+            for k in range(len(self.VECTORS)):
+                made.append(k)
+                yield np.random.default_rng(k)
+
+        for n, _ in enumerate(sample_branches(self.VECTORS, 0.3, 0.0, 1000, rngs())):
+            assert n < len(made) <= (n // per_block + 1) * per_block
+
+    @pytest.mark.parametrize("count", [40, 42])
+    def test_generator_count_across_blocks(self, count):
+        for sampler in (sample_branches, mc_estimates):
+            rngs = (np.random.default_rng(k) for k in range(count))
+            with pytest.raises(ValueError):
+                list(sampler(self.VECTORS, 0.3, 0.0, 1000, rngs))
