@@ -8,9 +8,12 @@ identical invocations produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -20,13 +23,127 @@ from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
 # alpha^2 rows evaluated, formatted and written at a time. It bounds the
-# per-block format template and its values to a few rows whatever
+# block's values, digits and text buffer to a few rows whatever
 # --grid-alpha is; the bytes written do not depend on it.
 _BLOCK_ROWS = 4
+# Width of a formatted cell: the longest format(x, ".12g") text, such as
+# "-2.22507385851e-308", has 19 characters.
+_CELL_WIDTH = 19
+# A value whose x * 1e12 lies within 2**-12 of a half-integer, that is
+# at least this far from the nearest integer, is a near-tie, left to
+# Python's own formatting (see _format_cells).
+_TIE_MARGIN = 0.5 - 2.0 ** -12
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the 10**4 four-digit groups "0000" ... "9999".
+
+    ``text[k]`` is group k as one uint32 of four ASCII digits and
+    ``text[10**4 + k]`` the same group with its trailing zeros as spaces
+    ("1200" -> "12  ", "0000" -> "    "); ``kept[i]`` is how many digits
+    ``text[i]`` has. Built on first use, in place from uint8 digits, so
+    importing the module costs nothing and the build adds little memory.
+    """
+    chars = np.empty((2, 10**4, 4), dtype=np.uint8)
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    grid = chars[0].reshape(10, 10, 10, 10, 4)
+    for place in range(4):
+        grid[..., place] = digits.reshape((10,) + (1,) * (3 - place))
+    chars[1] = chars[0]
+    kept = np.full((2, 10**4), 4, dtype=np.uint8)
+    trailing = np.ones(10**4, dtype=bool)
+    for place in range(3, -1, -1):
+        trailing &= chars[0, :, place] == ord("0")
+        chars[1, trailing, place] = ord(" ")
+        kept[1] -= trailing
+    text, kept = chars.view(np.uint32).ravel(), kept.ravel()
+    text.flags.writeable = kept.flags.writeable = False
+    return text, kept
+
+
+def _format_cells(x) -> tuple[np.ndarray, np.ndarray]:
+    """Text of format(v, ".12g") for each v of ``x``, as ASCII bytes.
+
+    Returns ``chars``, an (N, _CELL_WIDTH) uint8 array with one cell per
+    row, padded on the right with spaces, and ``lengths``, each cell's
+    length, for the N values of ``x`` in C order.
+
+    A cell 0.1 <= v < 1 is written from m = rint(y), y = v * 1e12, when
+    m < 1e12 and |y - m| < _TIE_MARGIN. Since y < 2**40 it is within 2**-14
+    of the exact product, and y - m is exact, so m is the correctly
+    rounded 12-digit integer, and the text is "0." and the digits of m
+    without trailing zeros (float(0.1) > 1/10 keeps the exponent at -1).
+    The digits are looked up for three 4-digit groups of m, split by float
+    floor division, which is exact below 2**53. Every other cell, near-ties
+    included, is Python's own "%.12g".
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    # clamped into [0, 1] (nan to 1), so nothing below overflows or warns;
+    # the clamped values never pass the test for a fast cell
+    clamped = np.fmax(np.fmin(x, 1.0), 0.0)
+    y = clamped * 1e12
+    m = np.rint(y)
+    fast = (clamped >= 0.1) & (m < 1e12) & (np.abs(y - m) < _TIE_MARGIN)
+
+    high = np.floor(m / 1e8)
+    middle = np.floor((m - high * 1e8) / 1e4)
+    low = m - high * 1e8 - middle * 1e4
+    # a group with only zero groups after it is looked up with its
+    # trailing zeros blanked; the high group of a fast cell is not zero
+    low_zero = low == 0
+    groups = np.empty((x.size, 3), dtype=np.intp)
+    groups[:, 0] = high + (low_zero & (middle == 0)) * 1e4
+    groups[:, 1] = middle + low_zero * 1e4
+    groups[:, 2] = low + 1e4
+    text, kept = _digit_groups()
+    chars = np.full((x.size, _CELL_WIDTH), ord(" "), dtype=np.uint8)
+    chars[:, 0] = ord("0")
+    chars[:, 1] = ord(".")
+    # clipped: a cell that is not fast may have groups out of range
+    chars[:, 2:14] = text.take(groups, mode="clip").view(np.uint8)
+    digits = kept.take(groups, mode="clip")
+    lengths = 2 + digits[:, 0] + digits[:, 1] + digits[:, 2]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = (f"%-{_CELL_WIDTH}.12g" * slow.size) % tuple(x[slow].tolist())
+        cells = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(slow.size, _CELL_WIDTH)
+        chars[slow] = cells
+        lengths[slow] = np.count_nonzero(cells != ord(" "), axis=1)
+    return chars, lengths
+
+
+def _block_text(alpha_cells, phi_cells, cols: list[np.ndarray]) -> str:
+    """CSV lines of one block: one per (alpha2, phi) pair, in row order.
+
+    ``alpha_cells`` and ``phi_cells`` are the ``_format_cells`` of the
+    block's alpha2 values and of phi; ``cols`` are its value columns,
+    each of shape (alpha2 values, phi values). A field takes a slot as
+    wide as its longest cell, then a separator, in one byte table;
+    dropping the spaces that pad the shorter cells leaves the text,
+    since no "%.12g" text has a space.
+    """
+    (alpha_chars, alpha_lengths), (phi_chars, phi_lengths) = alpha_cells, phi_cells
+    lines = (len(alpha_lengths), len(phi_lengths))
+    chars, lengths = _format_cells(np.stack(cols, axis=-1))
+    chars = chars.reshape(lines + (len(cols), _CELL_WIDTH))
+    lengths = lengths.reshape(lines + (len(cols),))
+    fields = [(alpha_chars[:, None], alpha_lengths), (phi_chars, phi_lengths)]
+    fields += [(chars[:, :, k], lengths[:, :, k]) for k in range(len(cols))]
+    widths = [int(field_lengths.max()) for _, field_lengths in fields]
+    table = np.empty(lines + (sum(widths) + len(widths),), dtype=np.uint8)
+    start = 0
+    for (field, _), width in zip(fields, widths):
+        table[..., start:start + width] = field[..., :width]
+        table[..., start + width] = ord(",")
+        start += width + 1
+    table[..., -1] = ord("\n")
+    return table[table != ord(" ")].tobytes().decode("ascii")
 
 
 def _finite_float(text: str) -> float:
@@ -155,26 +272,47 @@ def _write_sweep(args, fh) -> None:
         header += ",f_mc,mc_stderr"
     fh.write(header + "\n")
 
-    # A row's template is alpha2.join(phi_pieces): every line starts with
-    # the row's alpha2, then the phi formatted once per run, then one %.12g
-    # per value column. "%.12g" % x gives the same bytes as _fmt(x).
-    n_values = header.count(",") - 1
-    phi_pieces = [""] + [f",{_fmt(phi)}" + ",%.12g" * n_values + "\n" for phi in phis]
+    # every field is format(x, ".12g"); alpha2 and phi are formatted once
+    alpha_chars, alpha_lengths = _format_cells(alpha2s)
+    phi_cells = _format_cells(phis)
     averaged = np.empty((len(alpha2s), len(phis)))
     for lo in range(0, len(alpha2s), _BLOCK_ROWS):
         block = alpha2s[lo:lo + _BLOCK_ROWS]
         cols = _block_columns(args, lo, block[:, None], phis[None, :])
         averaged[lo:lo + len(block)] = cols[2 if args.mode == "mc" else 0]
-        template = "".join(_fmt(a2).join(phi_pieces) for a2 in block)
-        fh.write(template % tuple(np.stack(cols, axis=-1).ravel().tolist()))
+        rows = slice(lo, lo + len(block))
+        fh.write(_block_text((alpha_chars[rows], alpha_lengths[rows]), phi_cells, cols))
     average = protocol.grid_average(averaged)
     fh.write(f"# average={_fmt(average)}\n")
 
 
+@contextmanager
+def _rewrite(path: str):
+    """Text file that replaces the bytes of ``path``, without O_TRUNC.
+
+    Truncating a file that was just written waits for its delayed
+    writeback on some file systems. So the old bytes are overwritten in
+    place, and a longer old file is cut at the position of the last write
+    that reached it, also when a write fails, so no tail of it stays.
+    Only a regular file is cut: /dev/null and pipes cannot be.
+    """
+    # O_BINARY, where it exists, keeps the C runtime from translating "\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="ascii", newline="") as fh:
+        try:
+            yield fh
+            fh.flush()
+        finally:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if info.st_size > end:
+                    os.ftruncate(fd, end)
+
+
 def cmd_sweep(args) -> int:
     try:
-        with (nullcontext(sys.stdout) if args.out == "-"
-              else open(args.out, "w", newline="")) as fh:
+        with nullcontext(sys.stdout) if args.out == "-" else _rewrite(args.out) as fh:
             _write_sweep(args, fh)
     except OSError as exc:
         print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clonerestore import protocol
+from clonerestore import cli, protocol
 from clonerestore.cli import main
 from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
@@ -71,6 +75,59 @@ def expected_sweep(mode, n_alpha, n_phi, pbit=0.0, pph=0.0, trials=0, seed=0):
     return "\n".join(lines) + "\n"
 
 
+def near_ties(values):
+    """How many values the sweep writer leaves to Python's "%.12g" as
+    near-ties: in [0.1, 1), with x * 1e12 within 2**-12 of a half-integer."""
+    values = np.asarray(values, dtype=float)
+    y = values * 1e12
+    tie = np.abs(y - np.rint(y)) >= 0.5 - 2.0 ** -12
+    return int(np.count_nonzero((values >= 0.1) & (values < 1.0) & tie))
+
+
+def cell_texts(values):
+    """The texts of cli._format_cells, checking that each is padded with spaces."""
+    chars, lengths = cli._format_cells(values)
+    assert chars.shape == (len(values), cli._CELL_WIDTH)
+    assert np.all(chars[np.arange(cli._CELL_WIDTH) >= lengths[:, None]] == ord(" "))
+    return [bytes(row[:n]).decode("ascii") for row, n in zip(chars, lengths)]
+
+
+class TestFormatCells:
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_matches_format(self, values):
+        # st.floats() draws nan, infinities, subnormals and -0.0
+        assert cell_texts(values) == [format(v, ".12g") for v in values]
+
+    # (k + 0.5) / 1e12 and its neighbours: the cells whose 12th digit
+    # rounds at a tie or within a few ulps of one
+    @given(cells=st.lists(st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-1, 1)),
+                          min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_matches_format_near_ties(self, cells):
+        values = [float(np.nextafter((k + 0.5) / 1e12, math.copysign(math.inf, step)))
+                  if step else (k + 0.5) / 1e12 for k, step in cells]
+        assert cell_texts(values) == [format(v, ".12g") for v in values]
+
+    @pytest.mark.parametrize("value", [
+        float(np.nextafter(0.1, 0)), float(np.nextafter(0.1, 1)), 0.1,
+        0.9999999999995, 1 - 2.0 ** -53, 0.0999999999999996, 1e300,
+        1e308, -1e308, math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, 5e-324,
+        -2.2250738585072014e-308, 0.5001220703125,
+    ])
+    def test_edge_values(self, value):
+        assert cell_texts([value]) == [format(value, ".12g")]
+
+    def test_digit_tables_are_built_on_first_use(self):
+        script = ("import clonerestore.cli as cli\n"
+                  "print(cli._digit_groups.cache_info().currsize)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
+
+
 _EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
 
 
@@ -118,8 +175,8 @@ def test_golden_bytes(argv, digest):
 
 
 class TestSweep:
-    # 11 and 3 alpha^2 rows are not multiples of the writer's block size,
-    # so the last block is partial.
+    # 11, 3 and 101 alpha^2 rows are not multiples of the writer's block
+    # size, so the last block is partial.
     @pytest.mark.parametrize("mode, n_alpha, n_phi, extra", [
         ("exact", 11, 9, dict(pbit=0.3, pph=0.6)),
         ("mixed", 11, 9, {}),
@@ -128,8 +185,15 @@ class TestSweep:
         ("exact", 2, 1, {}),
         ("mc", 11, 9, dict(pbit=0.2, pph=0.7, trials=50, seed=4)),
         ("mc", 3, 2, dict(trials=200, seed=9)),
+        ("exact", 101, 103, dict(pbit=0.3, pph=0.6)),
     ])
     def test_writer_contract(self, tmp_path, mode, n_alpha, n_phi, extra):
+        if (n_alpha, n_phi) == (101, 103):
+            # this grid is here for its near-tie values, which the writer
+            # leaves to Python's own "%.12g"
+            aa = protocol.alpha2_grid(n_alpha)[:, None]
+            pp = protocol.phi_grid(n_phi)[None, :]
+            assert near_ties(protocol.exact_fidelity_plane(aa, pp, 0.3, 0.6)) > 0
         argv = ["sweep", "--mode", mode, "--grid-alpha", str(n_alpha),
                 "--grid-phi", str(n_phi)]
         for key, value in extra.items():
@@ -204,6 +268,58 @@ class TestSweep:
         header, rows, _ = parse_csv(text)
         assert len(rows) == 6
         assert text.endswith("\n") and "\r" not in text
+
+    @pytest.mark.parametrize("old_size", [100_000, 10])
+    def test_out_replaces_existing_file(self, tmp_path, old_size):
+        # the file is not truncated at open but cut after the last write
+        argv = ["sweep", "--grid-alpha", "5", "--grid-phi", "3", "--mode", "analytic"]
+        _, expected, _ = run_cli(argv + ["--out", "-"])
+        target = tmp_path / "sweep.csv"
+        target.write_bytes(b"9" * old_size + b"\n# average=0.25\n")
+        code, out, err = run_cli(argv + ["--out", str(target)])
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == expected.encode("ascii")
+
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        block_text = cli._block_text
+        blocks = []
+
+        def fail_after_one_block(*args):
+            blocks.append(None)
+            if len(blocks) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return block_text(*args)
+
+        argv = ["sweep", "--grid-alpha", "11", "--grid-phi", "3", "--mode", "analytic"]
+        _, expected, _ = run_cli(argv + ["--out", "-"])
+        target = tmp_path / "sweep.csv"
+        target.write_bytes(expected.encode("ascii") * 2)
+        monkeypatch.setattr(cli, "_block_text", fail_after_one_block)
+        code, out, err = run_cli(argv + ["--out", str(target)])
+        assert (code, out) == (2, "")
+        assert "cannot write" in err
+        written = target.read_bytes()
+        assert b"# average=" not in written
+        assert expected.encode("ascii").startswith(written)
+
+    def test_out_dev_null(self):
+        code, out, err = run_cli(["sweep", "--grid-alpha", "3", "--grid-phi", "2",
+                                  "--mode", "analytic", "--out", os.devnull])
+        assert (code, out, err) == (0, "", "")
+
+    def test_out_pipe(self):
+        # a pipe can be neither cut nor asked for its position
+        argv = ["sweep", "--grid-alpha", "3", "--grid-phi", "2", "--mode", "analytic"]
+        _, expected, _ = run_cli(argv + ["--out", "-"])
+        read_end, write_end = os.pipe()
+        try:
+            code, out, err = run_cli(argv + ["--out", f"/dev/fd/{write_end}"])
+            os.close(write_end)
+            written = os.read(read_end, 1 << 16)
+        finally:
+            os.close(read_end)
+        assert (code, out, err) == (0, "", "")
+        assert written == expected.encode("ascii")
 
     def test_unwritable_path(self, monkeypatch):
         # the output is opened before anything is evaluated
