@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
-import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -240,8 +238,7 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     if args.mode == "baseline":
         baseline = protocol.baseline_fidelity_plane(aa, pp)
         return [baseline, baseline]
-    shape = (aa.shape[0], pp.shape[1])
-    analytic = np.broadcast_to(protocol.analytic_fidelity(aa, pp), shape)
+    analytic = protocol.analytic_fidelity(aa, pp)
     if args.mode == "analytic":
         return [analytic, analytic]
     if args.mode == "mixed":
@@ -249,15 +246,15 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
     if args.mode == "exact":
         return [exact, analytic]
-    f_mc = np.empty(shape)
-    mc_err = np.empty(shape)
+    f_mc = np.empty_like(analytic)
+    mc_err = np.empty_like(analytic)
     # one mc_estimates call per alpha^2 row: its branch tables are built
     # together, and the sampler draws a block of consecutive points at a
     # time, so at most one block's generators and draws are alive at once
     for di, a2 in enumerate(aa[:, 0]):
         vectors = state_vector(a2, pp[0])
         rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
-                for j in range(shape[1]))
+                for j in range(pp.shape[1]))
         f_mc[di], mc_err[di] = protocol.mc_estimates(vectors, args.pbit, args.pph,
                                                      args.trials, rngs)
     return [exact, analytic, f_mc, mc_err]
@@ -275,44 +272,22 @@ def _write_sweep(args, fh) -> None:
     # every field is format(x, ".12g"); alpha2 and phi are formatted once
     alpha_chars, alpha_lengths = _format_cells(alpha2s)
     phi_cells = _format_cells(phis)
-    averaged = np.empty((len(alpha2s), len(phis)))
+    # the averaged column's row means: grid_average of these (n_alpha, 1)
+    # means is, bit for bit, grid_average of the whole column
+    row_means = np.empty((len(alpha2s), 1))
     for lo in range(0, len(alpha2s), _BLOCK_ROWS):
-        block = alpha2s[lo:lo + _BLOCK_ROWS]
-        cols = _block_columns(args, lo, block[:, None], phis[None, :])
-        averaged[lo:lo + len(block)] = cols[2 if args.mode == "mc" else 0]
-        rows = slice(lo, lo + len(block))
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        cols = _block_columns(args, lo, alpha2s[rows, None], phis[None, :])
+        cols[2 if args.mode == "mc" else 0].mean(axis=1, out=row_means[rows, 0])
         fh.write(_block_text((alpha_chars[rows], alpha_lengths[rows]), phi_cells, cols))
-    average = protocol.grid_average(averaged)
+    average = protocol.grid_average(row_means)
     fh.write(f"# average={_fmt(average)}\n")
-
-
-@contextmanager
-def _rewrite(path: str):
-    """Text file that replaces the bytes of ``path``, without O_TRUNC.
-
-    Truncating a file that was just written waits for its delayed
-    writeback on some file systems. So the old bytes are overwritten in
-    place, and a longer old file is cut at the position of the last write
-    that reached it, also when a write fails, so no tail of it stays.
-    Only a regular file is cut: /dev/null and pipes cannot be.
-    """
-    # O_BINARY, where it exists, keeps the C runtime from translating "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", encoding="ascii", newline="") as fh:
-        try:
-            yield fh
-            fh.flush()
-        finally:
-            info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode):
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if info.st_size > end:
-                    os.ftruncate(fd, end)
 
 
 def cmd_sweep(args) -> int:
     try:
-        with nullcontext(sys.stdout) if args.out == "-" else _rewrite(args.out) as fh:
+        with (nullcontext(sys.stdout) if args.out == "-"
+              else open(args.out, "w", encoding="ascii", newline="")) as fh:
             _write_sweep(args, fh)
     except OSError as exc:
         print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)

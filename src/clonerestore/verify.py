@@ -211,10 +211,11 @@ def _check_channel_density(rng):
 def _check_sampling_frequencies(rng):
     n = 100_000
     ket0 = core.make_pure(1.0, 0.0).vector[None]
-    _, branches = next(protocol.sample_branches(ket0, 0.0, 0.0, n, (rng,)))
-    # Alice's outcome of branch 16 alice + 4 error + bob
-    counts = np.bincount(branches // 16, minlength=4)
-    probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6])
+    _, branches = next(protocol.sample_branches(ket0, 0.1, 0.2, n, (rng,)))
+    # Alice's outcome and the channel error of branch 16 alice + 4 error + bob
+    counts = np.concatenate([np.bincount(branches // 16, minlength=4),
+                             np.bincount(branches // 4 % 4, minlength=4)])
+    probs = np.concatenate([[1 / 3, 1 / 6, 1 / 3, 1 / 6], core.error_probabilities(0.1, 0.2)])
     sigma = np.sqrt(probs * (1 - probs) / n)
     return float(np.max(np.abs(counts / n - probs) / sigma))
 

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import shlex
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import cli, protocol
+from clonerestore import cli, core, protocol
 from clonerestore.cli import main
 from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(argv):
@@ -206,6 +209,26 @@ class TestSweep:
         assert (code, stdout) == (0, "")
         assert target.read_bytes() == out.encode("ascii")
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    @pytest.mark.parametrize("mode, n_alpha, n_phi, extra", [
+        ("exact", 11, 9, dict(pbit=0.3, pph=0.6)),
+        ("mixed", 11, 9, {}),
+        ("analytic", 11, 9, {}),
+        ("baseline", 11, 9, {}),
+        ("mc", 7, 5, dict(pbit=0.2, pph=0.7, trials=50, seed=4)),
+    ])
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch, block_rows, mode, n_alpha,
+                                               n_phi, extra):
+        # expected_sweep averages the whole grid at once, the writer the
+        # row means of its blocks
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        argv = ["sweep", "--mode", mode, "--grid-alpha", str(n_alpha), "--grid-phi", str(n_phi)]
+        for key, value in extra.items():
+            argv += [f"--{key}", str(value)]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == expected_sweep(mode, n_alpha, n_phi, **extra)
+
     def test_sweep_loads_neither_fractions_nor_decimal(self):
         # the exact forms are compiled in integers; only bloch_form, which
         # the sweep never calls, needs Fraction (and so decimal)
@@ -271,7 +294,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("old_size", [100_000, 10])
     def test_out_replaces_existing_file(self, tmp_path, old_size):
-        # the file is not truncated at open but cut after the last write
+        # the file is truncated when it is opened
         argv = ["sweep", "--grid-alpha", "5", "--grid-phi", "3", "--mode", "analytic"]
         _, expected, _ = run_cli(argv + ["--out", "-"])
         target = tmp_path / "sweep.csv"
@@ -301,6 +324,34 @@ class TestSweep:
         written = target.read_bytes()
         assert b"# average=" not in written
         assert expected.encode("ascii").startswith(written)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_run_leaves_a_prefix_of_its_own_output(self, tmp_path):
+        # the run is killed after its first block, writing over a longer
+        # CSV: no row or "# average=" line of the old file may survive
+        target = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(["sweep", "--grid-alpha", "21", "--grid-phi", "17",
+                              "--out", str(target)])
+        assert code == 0
+        argv = ["sweep", "--grid-alpha", "11", "--grid-phi", "5", "--mode", "baseline"]
+        _, expected, _ = run_cli(argv)
+        script = (
+            "import os, signal, sys\n"
+            "from clonerestore import cli\n"
+            "block_text, calls = cli._block_text, []\n"
+            "def kill_on_second_block(*args):\n"
+            "    calls.append(None)\n"
+            "    if len(calls) > 1:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return block_text(*args)\n"
+            "cli._block_text = kill_on_second_block\n"
+            "cli.main(sys.argv[1:])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(target)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        assert expected.encode("ascii").startswith(target.read_bytes())
 
     def test_out_dev_null(self):
         code, out, err = run_cli(["sweep", "--grid-alpha", "3", "--grid-phi", "2",
@@ -377,6 +428,28 @@ class TestSweep:
         assert "grid-alpha" in err
 
 
+def readme_commands():
+    """The arguments of every ``clonerestore ...`` line in README's fenced blocks."""
+    commands, fenced = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("clonerestore "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"sweep", "verify", "mc"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: clonerestore {shlex.join(argv)}")
+
+
 class TestVerify:
     def test_swapped_rule_detected(self, swapped_rule):
         code, out, _ = run_cli(["verify"])
@@ -410,6 +483,16 @@ class TestVerify:
                      "fidelity-floor-and-exceptions", "plane-averages",
                      "sweep-exact-mixed-columns"):
             assert failed[name] == float("inf")
+
+    def test_sampler_without_channel_errors_detected(self, monkeypatch):
+        # the mean fidelity does not depend on the error rates, so only the
+        # drawn error frequencies can show a sampler that never draws one
+        monkeypatch.setattr(protocol, "error_probabilities",
+                            lambda p_bit, p_ph: core.error_probabilities(0.0, 0.0))
+        report = run_checks()
+        failed = {r.name: r.deviation for r in report.results if not r.passed}
+        assert list(failed) == ["measurement-sampling-frequencies"]
+        assert failed["measurement-sampling-frequencies"] > 100
 
     # runs after test_swapped_rule_detected, so it also checks that the
     # fixture's teardown restores the rule and rebuilds the branch banks
