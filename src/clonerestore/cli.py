@@ -1,7 +1,8 @@
 """Command line front end: parameter sweeps, verification, Monte Carlo.
 
 Exit codes: 0 on success, 1 when a verification or statistical check
-fails, 2 on usage errors. All randomness flows from the --seed flag, so
+fails, 2 on usage errors, output that cannot be written and counts too
+large to allocate. All randomness flows from the --seed flag, so
 identical invocations produce identical output bytes.
 """
 
@@ -10,8 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
@@ -285,13 +287,9 @@ def _write_sweep(args, fh) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with (nullcontext(sys.stdout) if args.out == "-"
-              else open(args.out, "w", encoding="ascii", newline="")) as fh:
-            _write_sweep(args, fh)
-    except OSError as exc:
-        print(f"sweep: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    with (nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="ascii", newline="")) as fh:
+        _write_sweep(args, fh)
     return 0
 
 
@@ -324,11 +322,21 @@ def cmd_mc(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_mc(args)
+    out = getattr(args, "out", "-")
+    try:
+        code = {"sweep": cmd_sweep, "verify": cmd_verify, "mc": cmd_mc}[args.command](args)
+        sys.stdout.flush()
+        return code
+    except MemoryError as exc:
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"{args.command}: cannot write {out}: {exc}", file=sys.stderr)
+        if out == "-":
+            # Python's recipe: the flush at exit goes to os.devnull, not the closed pipe
+            with suppress(OSError):    # in-process, stdout may have no descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    return 2
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ checks its elements on construction, and ``fidelity`` and
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
 from numbers import Integral
 
 import numpy as np
 
-from .linalg import ATOL, _SQUARE_MAX, _nonfinite_error
+from .linalg import ATOL, _may_overflow, _nonfinite_error, _overflow_guard
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -87,12 +86,7 @@ class PureQubit:
         # the operations of np.linalg.norm and np.angle, without their wrappers
         re, im = v.real, v.imag
         a, b = abs(v[0]), abs(v[1])
-        if a > _SQUARE_MAX or b > _SQUARE_MAX:
-            # a square may overflow: the ValueError below, not numpy's
-            # RuntimeWarning. errstate costs more than the rest, so only here
-            with np.errstate(over="ignore"):
-                n = math.sqrt(re.dot(re) + im.dot(im))
-        else:
+        with _overflow_guard(a, b):
             n = math.sqrt(re.dot(re) + im.dot(im))
         if not math.isfinite(n):
             raise _nonfinite_error(v, "vector")
@@ -212,10 +206,7 @@ def fidelity(psi: PureQubit, rho: np.ndarray) -> float:
     """
     v = psi.vector
     rho = _check_rho(rho)
-    # past _SQUARE_MAX rho @ v may overflow: the ValueError below, not numpy's
-    # RuntimeWarning. errstate costs more than the product, so only there
-    with (np.errstate(over="ignore", invalid="ignore") if np.abs(rho).max() > _SQUARE_MAX
-          else nullcontext()):
+    with _overflow_guard(np.abs(rho).max()):
         f = float(np.real(np.vdot(v, rho @ v)))
     if not math.isfinite(f):
         raise ValueError("fidelity overflows")
@@ -232,8 +223,7 @@ def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     if keep not in (1, 2, 3):
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
     state = np.asarray(state, dtype=complex).reshape(8)
-    # past _SQUARE_MAX a product may overflow; NaN fails the test too
-    if not np.abs(state).max() <= _SQUARE_MAX:
+    if _may_overflow(np.abs(state).max()):
         raise ValueError("state entries must be finite and at most 1e150")
     t = state.reshape(2, 2, 2)
     others = [ax for ax in range(3) if ax != keep - 1]

@@ -24,6 +24,17 @@ IDENTITY = np.eye(2, dtype=complex)
 IDENTITY.flags.writeable = False
 
 
+def _may_overflow(*magnitudes) -> bool:
+    """Whether one of these entry magnitudes is NaN or above _SQUARE_MAX."""
+    return not all(m <= _SQUARE_MAX for m in magnitudes)
+
+
+def _overflow_guard(*magnitudes):
+    """errstate silencing overflow and invalid where ``_may_overflow``, leaving the fault to
+    the caller's finiteness test; elsewhere nullcontext: errstate costs more than 2x2 math."""
+    return np.errstate(over="ignore", invalid="ignore") if _may_overflow(*magnitudes) else nullcontext()
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; supports stacked (..., 2, 2) inputs."""
     return np.asarray(a).conj().swapaxes(-1, -2)
@@ -53,14 +64,14 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
-    # past _SQUARE_MAX a - a^dag may overflow, but only where the two differ
-    with np.errstate(over="ignore") if np.abs(a).max() > _SQUARE_MAX else nullcontext():
+    # a - a^dag may overflow, but only where the two differ
+    with _overflow_guard(np.abs(a).max()):
         return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=complex)
-    if np.abs(a).max() > _SQUARE_MAX:
+    if _may_overflow(np.abs(a).max()):
         return False    # a unitary's entries are at most 1; the product may overflow
     return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
 
@@ -75,7 +86,7 @@ def is_psd(a: np.ndarray) -> bool:
     if not is_hermitian(a):
         return False
     largest = np.abs(a).max()
-    if largest > _SQUARE_MAX:
+    if _may_overflow(largest):
         a = a / largest
     tr = (a[0, 0] + a[1, 1]).real
     det = det2(a).real
@@ -100,12 +111,7 @@ def _finite_norm2(a: np.ndarray) -> float:
     Raises ValueError for a non-finite entry or a norm that overflows.
     """
     m = np.abs(a)
-    if m.max() > _SQUARE_MAX:
-        # a square may overflow: the ValueError below, not numpy's
-        # RuntimeWarning. errstate costs more than the sum, so only here
-        with np.errstate(over="ignore"):
-            norm2 = np.sum(m ** 2)
-    else:
+    with _overflow_guard(m.max()):
         norm2 = np.sum(m ** 2)
     if not math.isfinite(norm2):
         raise _nonfinite_error(a, "matrix")

@@ -368,12 +368,9 @@ def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
     for lo, branches in blocks:
         hi = lo + len(branches)
         sample = overlaps.ravel().take(np.arange(64 * lo, 64 * hi, 64)[:, None] + branches)
-        # numpy's own mean and std(ddof=1) arithmetic, one row per state
-        means[lo:hi] = np.add.reduce(sample, axis=1) / trials
-        if trials > 1:
-            sample -= means[lo:hi, None]
-            sample *= sample
-            stderrs[lo:hi] = np.sqrt(np.add.reduce(sample, axis=1) / (trials - 1)) / np.sqrt(trials)
+        means[lo:hi] = sample.mean(axis=1)
+        if trials > 1:    # std(ddof=1) of one run warns
+            stderrs[lo:hi] = sample.std(axis=1, ddof=1) / np.sqrt(trials)
     return means, stderrs
 
 

@@ -1,9 +1,16 @@
 """Shared fixtures for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from clonerestore import protocol
 from clonerestore.core import ErrorType
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _exchanged_rule(alice, bob):
@@ -12,6 +19,18 @@ def _exchanged_rule(alice, bob):
     sign_differs = alice.sign != bob.sign
     bit_differs = alice.bit != bob.bit
     return ErrorType(int(sign_differs) + 2 * int(bit_differs)).operator
+
+
+@pytest.fixture
+def run_python():
+    """Run a child Python, ``subprocess.run`` with a 120 s timeout, on the
+    package's source: ``src`` goes first on the PYTHONPATH of ``env``,
+    by default this process's environment."""
+    def run(*args, env=os.environ, **kwargs):
+        path = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=dict(env, PYTHONPATH=path),
+                              timeout=120, **kwargs)
+    return run
 
 
 def _clear_bank_caches():

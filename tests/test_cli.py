@@ -7,7 +7,6 @@ import os
 import shlex
 import signal
 import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(ROOT / "src")
 
 
 def run_cli(argv):
@@ -121,13 +119,10 @@ class TestFormatCells:
     def test_edge_values(self, value):
         assert cell_texts([value]) == [format(value, ".12g")]
 
-    def test_digit_tables_are_built_on_first_use(self):
+    def test_digit_tables_are_built_on_first_use(self, run_python):
         script = ("import clonerestore.cli as cli\n"
                   "print(cli._digit_groups.cache_info().currsize)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 
 
@@ -229,7 +224,7 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert out == expected_sweep(mode, n_alpha, n_phi, **extra)
 
-    def test_sweep_loads_neither_fractions_nor_decimal(self):
+    def test_sweep_loads_neither_fractions_nor_decimal(self, run_python):
         # the exact forms are compiled in integers; only bloch_form, which
         # the sweep never calls, needs Fraction (and so decimal)
         script = (
@@ -240,10 +235,7 @@ class TestSweep:
             "        main(['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2',"
             " '--trials', '2', '--pbit', '0.3'])\n"
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
     def test_analytic_two_by_two(self):
@@ -326,7 +318,7 @@ class TestSweep:
         assert expected.encode("ascii").startswith(written)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-    def test_killed_run_leaves_a_prefix_of_its_own_output(self, tmp_path):
+    def test_killed_run_leaves_a_prefix_of_its_own_output(self, tmp_path, run_python):
         # the run is killed after its first block, writing over a longer
         # CSV: no row or "# average=" line of the old file may survive
         target = tmp_path / "sweep.csv"
@@ -346,10 +338,7 @@ class TestSweep:
             "    return block_text(*args)\n"
             "cli._block_text = kill_on_second_block\n"
             "cli.main(sys.argv[1:])\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(target)],
-                              env=env, capture_output=True, timeout=120)
+        proc = run_python("-c", script, *argv, "--out", str(target), capture_output=True)
         assert proc.returncode == -signal.SIGKILL
         assert expected.encode("ascii").startswith(target.read_bytes())
 
@@ -593,3 +582,53 @@ class TestMc:
             code, out, err = run_cli(["mc"] + argv)
             assert code == 2, argv
             assert out == "" and f"argument {argv[0]}" in err
+
+
+BROKEN_PIPE = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+COMMANDS = [["verify"], ["mc", "--trials", "1000"], ["sweep", "--grid-alpha", "3", "--grid-phi", "2"]]
+
+
+class TestExitTwo:
+    """Output that cannot be written or counts too large to allocate: one
+    line on stderr naming the command, and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid-alpha", str(10**17)],
+        ["sweep", "--grid-phi", str(10**17)],
+        ["sweep", "--mode", "mc", "--grid-alpha", "2", "--grid-phi", "1", "--trials", str(10**15)],
+        ["mc", "--trials", str(10**15)],
+    ])
+    def test_count_too_large_to_allocate(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert err.startswith(f"{argv[0]}: out of memory: ") and err.count("\n") == 1
+        # a sweep has written a prefix of its output: the header at most
+        assert out in ("", "alpha2,phi,f_exact,f_analytic,f_mc,mc_stderr\n")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout_in_process(self, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        with redirect_stdout(ClosedPipe()), redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (2, f"{argv[0]}: cannot write -: {BROKEN_PIPE}\n")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_stdout(self, run_python, argv, unbuffered):
+        # stdout is a pipe whose read end is closed before the child starts;
+        # without PYTHONUNBUFFERED the error comes only when stdout is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "clonerestore", *argv, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, f"{argv[0]}: cannot write -: {BROKEN_PIPE}\n")

@@ -147,8 +147,10 @@ class TestPureQubit:
         with pytest.raises(ValueError):
             PureQubit.from_vector(np.zeros(2))
 
+    # the last: the second magnitude is NaN, so the overflow guard must not
+    # take max(a, b), which is a there
     @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0],
-                                   [1.0, complex(0.0, np.inf)]])
+                                   [1.0, complex(0.0, np.inf)], [1 + 1j, complex(-1e308, np.nan)]])
     def test_from_vector_nonfinite_rejected(self, v):
         with pytest.raises(ValueError, match="vector must be finite"):
             PureQubit.from_vector(np.array(v))

@@ -1,8 +1,5 @@
 """Smoke test: every narrative script in demos/ runs to completion."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,11 +13,8 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def test_demo_runs(demo, run_python):
     # the suite's own policy: a warning is an error
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-W", "error", str(demo), cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout

@@ -189,9 +189,11 @@ class TestPredicates:
             assert is_unitary(t)
 
 
-# Hermitian matrices: only their non-finite entries make them invalid input
+# Hermitian matrices, whose only fault is a non-finite entry, and a NaN or
+# an infinity beside an entry whose square overflows
 NONFINITE = [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
-             np.array([[1.0, np.inf], [np.inf, 1.0]])]
+             np.array([[1.0, np.inf], [np.inf, 1.0]]), np.array([[np.nan, 1e200], [0, 1]]),
+             np.array([[np.inf, 1e200], [1, 1]])]
 
 
 @pytest.mark.parametrize("f", [sqrtm_psd, polar_decompose, nearest_unitary])
@@ -206,6 +208,12 @@ class TestNonfiniteInput:
         # every entry is finite, but the squared norm is not
         with pytest.raises(ValueError, match="norm overflows"):
             f(np.diag([1e200, 1e200]))
+
+
+@pytest.mark.parametrize("a", NONFINITE)
+@pytest.mark.parametrize("f", [is_hermitian, is_unitary, is_psd])
+def test_predicates_answer_false_for_nonfinite_input(f, a):
+    assert f(a) is False
 
 
 class TestOverflow:
@@ -276,3 +284,24 @@ def test_finite_extremes_give_finite_output_or_value_error(name, data):
     except ValueError:
         return
     assert_finite(out)
+
+
+# NaN and infinities beside the extremes, a large entry included: each
+# function raises ValueError or returns, and never warns. The output may
+# hold a NaN (dagger moves one faithfully), but a predicate answers a
+# bool, and False for a non-finite entry.
+@pytest.mark.parametrize("name", sorted(ARRAY_FUNCTIONS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_nonfinite_parts_give_value_error_never_a_warning(name, data):
+    size, f = ARRAY_FUNCTIONS[name]
+    part = st.sampled_from(EXTREMES + [np.nan, np.inf, -np.inf])
+    entry = st.builds(complex, part, part)
+    x = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=complex)
+    try:
+        out = f(x)
+    except ValueError:
+        return
+    if name.startswith("is_"):
+        assert isinstance(out, bool)
+        assert out is False or np.isfinite(x).all()

@@ -647,6 +647,17 @@ class TestMcEstimates:
             assert single_rng.bit_generator.state == state
             assert batched_rngs[k].bit_generator.state == state
 
+    @pytest.mark.parametrize("trials", [1, 2000, 10_000])
+    def test_shared_generator_matches_one_call_at_a_time(self, trials):
+        # the sampler draws state by state, so one generator may serve a stack
+        vectors = np.stack([make_pure(a2, phi).vector for a2, phi in self.STATES])
+        shared, single = np.random.default_rng(41), np.random.default_rng(41)
+        means, stderrs = mc_estimates(vectors, 0.3, 0.6, trials, (shared,) * len(vectors))
+        for k, v in enumerate(vectors):
+            (mean,), (stderr,) = mc_estimates(v[None], 0.3, 0.6, trials, (single,))
+            assert (means[k], stderrs[k]) == (mean, stderr)
+        assert shared.bit_generator.state == single.bit_generator.state
+
     def test_lazy_generators(self):
         vectors = np.stack([make_pure(a2, phi).vector for a2, phi in self.STATES])
         eager = mc_estimates(vectors, 0.2, 0.7, 300,
