@@ -40,14 +40,13 @@ def _fmt(x: float) -> str:
 
 
 @functools.cache
-def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
-    """Tables of the 10**4 four-digit groups "0000" ... "9999".
+def _digit_groups() -> np.ndarray:
+    """Table of the 10**4 four-digit groups "0000" ... "9999".
 
     ``text[k]`` is group k as one uint32 of four ASCII digits and
     ``text[10**4 + k]`` the same group with its trailing zeros as spaces
-    ("1200" -> "12  ", "0000" -> "    "); ``kept[i]`` is how many digits
-    ``text[i]`` has. Built on first use, in place from uint8 digits, so
-    importing the module costs nothing and the build adds little memory.
+    ("1200" -> "12  ", "0000" -> "    "). Built on first use, in place from
+    uint8 digits, so importing costs nothing and the build little memory.
     """
     chars = np.empty((2, 10**4, 4), dtype=np.uint8)
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
@@ -55,23 +54,20 @@ def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
     for place in range(4):
         grid[..., place] = digits.reshape((10,) + (1,) * (3 - place))
     chars[1] = chars[0]
-    kept = np.full((2, 10**4), 4, dtype=np.uint8)
     trailing = np.ones(10**4, dtype=bool)
     for place in range(3, -1, -1):
         trailing &= chars[0, :, place] == ord("0")
         chars[1, trailing, place] = ord(" ")
-        kept[1] -= trailing
-    text, kept = chars.view(np.uint32).ravel(), kept.ravel()
-    text.flags.writeable = kept.flags.writeable = False
-    return text, kept
+    text = chars.view(np.uint32).ravel()
+    text.flags.writeable = False
+    return text
 
 
-def _format_cells(x) -> tuple[np.ndarray, np.ndarray]:
+def _format_cells(x) -> np.ndarray:
     """Text of format(v, ".12g") for each v of ``x``, as ASCII bytes.
 
-    Returns ``chars``, an (N, _CELL_WIDTH) uint8 array with one cell per
-    row, padded on the right with spaces, and ``lengths``, each cell's
-    length, for the N values of ``x`` in C order.
+    Returns an (N, _CELL_WIDTH) uint8 array with one cell per row, padded
+    on the right with spaces, for the N values of ``x`` in C order.
 
     A cell 0.1 <= v < 1 is written from m = rint(y), y = v * 1e12, when
     m < 1e12 and |y - m| < _TIE_MARGIN. Since y < 2**40 it is within 2**-14
@@ -100,45 +96,41 @@ def _format_cells(x) -> tuple[np.ndarray, np.ndarray]:
     groups[:, 0] = high + (low_zero & (middle == 0)) * 1e4
     groups[:, 1] = middle + low_zero * 1e4
     groups[:, 2] = low + 1e4
-    text, kept = _digit_groups()
+    text = _digit_groups()
     chars = np.full((x.size, _CELL_WIDTH), ord(" "), dtype=np.uint8)
     chars[:, 0] = ord("0")
     chars[:, 1] = ord(".")
     # clipped: a cell that is not fast may have groups out of range
     chars[:, 2:14] = text.take(groups, mode="clip").view(np.uint8)
-    digits = kept.take(groups, mode="clip")
-    lengths = 2 + digits[:, 0] + digits[:, 1] + digits[:, 2]
 
     slow = np.flatnonzero(~fast)
     if slow.size:
         cells = (f"%-{_CELL_WIDTH}.12g" * slow.size) % tuple(x[slow].tolist())
-        cells = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(slow.size, _CELL_WIDTH)
-        chars[slow] = cells
-        lengths[slow] = np.count_nonzero(cells != ord(" "), axis=1)
-    return chars, lengths
+        chars[slow] = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL_WIDTH)
+    return chars
 
 
-def _block_text(alpha_cells, phi_cells, cols: list[np.ndarray]) -> str:
+def _block_text(alpha_chars, phi_chars, cols: list[np.ndarray]) -> str:
     """CSV lines of one block: one per (alpha2, phi) pair, in row order.
 
-    ``alpha_cells`` and ``phi_cells`` are the ``_format_cells`` of the
+    ``alpha_chars`` and ``phi_chars`` are the ``_format_cells`` of the
     block's alpha2 values and of phi; ``cols`` are its value columns,
     each of shape (alpha2 values, phi values). A field takes a slot as
     wide as its longest cell, then a separator, in one byte table;
-    dropping the spaces that pad the shorter cells leaves the text,
-    since no "%.12g" text has a space.
+    dropping the spaces that pad the shorter cells leaves the text.
     """
-    (alpha_chars, alpha_lengths), (phi_chars, phi_lengths) = alpha_cells, phi_cells
-    lines = (len(alpha_lengths), len(phi_lengths))
-    chars, lengths = _format_cells(np.stack(cols, axis=-1))
-    chars = chars.reshape(lines + (len(cols), _CELL_WIDTH))
-    lengths = lengths.reshape(lines + (len(cols),))
-    fields = [(alpha_chars[:, None], alpha_lengths), (phi_chars, phi_lengths)]
-    fields += [(chars[:, :, k], lengths[:, :, k]) for k in range(len(cols))]
-    widths = [int(field_lengths.max()) for _, field_lengths in fields]
+    lines = (len(alpha_chars), len(phi_chars))
+    chars = _format_cells(np.stack(cols, axis=-1)).reshape(lines + (len(cols), _CELL_WIDTH))
+    # a slot is as wide as the byte columns of its field that are not all
+    # spaces, since no "%.12g" text has a space; reduced over the block's
+    # rows first, numpy ORs a few long runs, not one short run per line
+    used = [(alpha_chars != ord(" ")).any(axis=0), (phi_chars != ord(" ")).any(axis=0),
+            *(chars != ord(" ")).any(axis=0).any(axis=0)]
+    widths = [int(np.count_nonzero(u)) for u in used]
+    fields = [alpha_chars[:, None], phi_chars] + [chars[:, :, k] for k in range(len(cols))]
     table = np.empty(lines + (sum(widths) + len(widths),), dtype=np.uint8)
     start = 0
-    for (field, _), width in zip(fields, widths):
+    for field, width in zip(fields, widths):
         table[..., start:start + width] = field[..., :width]
         table[..., start + width] = ord(",")
         start += width + 1
@@ -248,18 +240,11 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
     if args.mode == "exact":
         return [exact, analytic]
-    f_mc = np.empty_like(analytic)
-    mc_err = np.empty_like(analytic)
-    # one mc_estimates call per alpha^2 row: its branch tables are built
-    # together, and the sampler draws a block of consecutive points at a
-    # time, so at most one block's generators and draws are alive at once
-    for di, a2 in enumerate(aa[:, 0]):
-        vectors = state_vector(a2, pp[0])
-        rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
-                for j in range(pp.shape[1]))
-        f_mc[di], mc_err[di] = protocol.mc_estimates(vectors, args.pbit, args.pph,
-                                                     args.trials, rngs)
-    return [exact, analytic, f_mc, mc_err]
+    rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
+            for di in range(aa.shape[0]) for j in range(pp.shape[1]))
+    means, stderrs = protocol.mc_estimates(state_vector(aa, pp).reshape(-1, 2),
+                                           args.pbit, args.pph, args.trials, rngs)
+    return [exact, analytic, means.reshape(exact.shape), stderrs.reshape(exact.shape)]
 
 
 def _write_sweep(args, fh) -> None:
@@ -272,8 +257,8 @@ def _write_sweep(args, fh) -> None:
     fh.write(header + "\n")
 
     # every field is format(x, ".12g"); alpha2 and phi are formatted once
-    alpha_chars, alpha_lengths = _format_cells(alpha2s)
-    phi_cells = _format_cells(phis)
+    alpha_chars = _format_cells(alpha2s)
+    phi_chars = _format_cells(phis)
     # the averaged column's row means: grid_average of these (n_alpha, 1)
     # means is, bit for bit, grid_average of the whole column
     row_means = np.empty((len(alpha2s), 1))
@@ -281,7 +266,7 @@ def _write_sweep(args, fh) -> None:
         rows = slice(lo, lo + _BLOCK_ROWS)
         cols = _block_columns(args, lo, alpha2s[rows, None], phis[None, :])
         cols[2 if args.mode == "mc" else 0].mean(axis=1, out=row_means[rows, 0])
-        fh.write(_block_text((alpha_chars[rows], alpha_lengths[rows]), phi_cells, cols))
+        fh.write(_block_text(alpha_chars[rows], phi_chars, cols))
     average = protocol.grid_average(row_means)
     fh.write(f"# average={_fmt(average)}\n")
 

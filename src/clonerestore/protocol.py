@@ -147,13 +147,12 @@ def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> 
     return _form_values(form, alpha2, phi)
 
 
-def analytic_fidelity(alpha2, phi) -> np.ndarray | float:
+def analytic_fidelity(alpha2, phi) -> np.ndarray:
     """Closed-form protocol fidelity surface; broadcasts over arrays."""
     alpha2, phi = _check_plane(alpha2, phi)
     beta2 = 1.0 - alpha2
-    out = (5.0 - 2.0 * alpha2 + 2.0 * alpha2 ** 2) / 9.0 \
+    return (5.0 - 2.0 * alpha2 + 2.0 * alpha2 ** 2) / 9.0 \
         + (8.0 / 9.0) * alpha2 * beta2 * np.cos(phi) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def mixed_input_fidelity(psi: PureQubit) -> float:
@@ -180,15 +179,14 @@ def mixed_input_fidelity_plane(alpha2, phi) -> np.ndarray:
     return _form_values(_form_bank()[4], alpha2, phi)
 
 
-def baseline_fidelity_plane(alpha2, phi) -> np.ndarray | float:
+def baseline_fidelity_plane(alpha2, phi) -> np.ndarray:
     """Measure-and-prepare baseline over broadcast (alpha2, phi) arrays.
 
     The sender measures in the computational basis and the receiver
     prepares the observed basis state: alpha^4 + beta^4, whatever phi.
     """
     alpha2, _ = np.broadcast_arrays(*_check_plane(alpha2, phi))
-    out = alpha2 ** 2 + (1.0 - alpha2) ** 2
-    return float(out) if out.ndim == 0 else out
+    return alpha2 ** 2 + (1.0 - alpha2) ** 2
 
 
 def alpha2_grid(n_alpha: int) -> np.ndarray:
@@ -249,6 +247,10 @@ def z_score(mean: float, stderr: float, exact: float) -> float:
 # more runs fills a block alone. It bounds the draw buffers whatever the
 # stack or trial count; the draws do not depend on it.
 _BLOCK_DRAWS = 2 ** 13
+# States whose branch tables are alive at once: the sampler builds the
+# tables of a chunk of at most this many consecutive states, a whole number
+# of blocks, in one contraction; the draws do not depend on it.
+_TABLE_STATES = 48
 
 
 def _inverse_cdf(thresholds, x) -> np.ndarray:
@@ -267,14 +269,32 @@ def _inverse_cdf(thresholds, x) -> np.ndarray:
     return count
 
 
+def _branch_tables(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (n, 64) branch overlaps of the unit vectors v, shape (n, 2), then
+    their total and cumulative Alice weights, shapes (n, 1) and (4, n, 1),
+    and their cumulative P(bob | alice, error) rows, column 16 k + 4 alice +
+    error of a (4, 16 n) table for state k: all from one contraction."""
+    amps = np.einsum("aebij,nj->naebi", _branch_bank(), v)
+    # joint weight (given error) and overlap per branch
+    norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        overlaps = np.abs(np.einsum("ni,naebi->naeb", v.conj(), amps)) ** 2 / norms2
+    p_alice = norms2[:, :, 0, :].sum(axis=-1)       # error slot 0 is the identity
+    cond_bob = norms2 / p_alice[:, :, None, None]
+    return (np.nan_to_num(overlaps).reshape(len(v), 64), p_alice.sum(axis=-1)[:, None],
+            np.cumsum(p_alice, axis=-1).T[:, :, None],
+            np.cumsum(cond_bob, axis=-1).reshape(-1, 4).T.copy())
+
+
 def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
                    rngs: Iterable[np.random.Generator]
-                   ) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """Check the sampler's arguments and build every state's branch tables.
+                   ) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """Check the sampler's arguments; return the stack's size and its blocks.
 
-    Returns the (N, 64) branch overlaps and a generator of blocks: the
-    first state of the block and the uint8 branch indices of its states,
-    shape (states, trials), drawn as ``sample_branches`` documents.
+    The generator yields, block by block, the first state of the block,
+    its states' (states, 64) branch overlaps and their uint8 branch
+    indices, shape (states, trials), drawn as ``sample_branches``
+    documents. It builds the tables of a chunk of states at its first draw.
     """
     _check_count(trials, "trials", 1)
     v = np.asarray(vectors, dtype=complex)
@@ -284,33 +304,23 @@ def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
     # a unit vector's entries are at most 1: tested first, no square overflows
     if not (np.all(m <= 1.0 + 1e-12) and np.all(np.abs(np.sum(m ** 2, axis=-1) - 1.0) <= 1e-12)):
         raise ValueError("vectors must be normalized")
-    amps = np.einsum("aebij,nj->naebi", _branch_bank(), v)
-    # joint weight (given error) and overlap per branch
-    norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        overlaps = np.abs(np.einsum("ni,naebi->naeb", v.conj(), amps)) ** 2 / norms2
-    overlaps = np.nan_to_num(overlaps).reshape(len(v), 64)
-
-    p_alice = norms2[:, :, 0, :].sum(axis=-1)       # error slot 0 is the identity
-    total_alice = p_alice.sum(axis=-1)[:, None]
-    cum_alice = np.cumsum(p_alice, axis=-1).T[:, :, None]
     cum_err = np.cumsum(error_probabilities(p_bit, p_ph))
-    # cum_bob[:, 16 n + 4 alice + error] is state n's cumulative
-    # P(bob | alice, error) row
-    cond_bob = norms2 / p_alice[:, :, None, None]
-    cum_bob = np.cumsum(cond_bob, axis=-1).reshape(-1, 4).T.copy()
+    per_block = max(1, min(_BLOCK_DRAWS // trials, _TABLE_STATES))
+    chunk = per_block * (_TABLE_STATES // per_block)
 
     def blocks():
-        per_block = max(1, _BLOCK_DRAWS // trials)
         u = np.empty((min(per_block, len(v)), 3, trials))
         for n, rng in zip(range(len(v)), rngs, strict=True):
+            if n % chunk == 0:
+                first = n
+                overlaps, total_alice, cum_alice, cum_bob = _branch_tables(v[n:n + chunk])
             i = n % per_block
             # the same doubles, and the same final generator state, as
             # three rng.random(trials) calls
             rng.random(out=u[i])
             if i + 1 < len(u) and n + 1 < len(v):
                 continue
-            lo, hi = n - i, n + 1
+            lo, hi = n - i - first, n + 1 - first
             # views of the buffer, scaled in place: it is refilled next block
             alice, error, bob = u[:i + 1].transpose(1, 0, 2)
             alice *= total_alice[lo:hi]
@@ -322,9 +332,11 @@ def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
             branches = _inverse_cdf((c.take(col) for c in cum_bob[:3]), bob)
             row <<= 2
             branches += row
-            yield lo, branches
+            del row, col    # this block's arrays are freed before the next is drawn
+            yield n - i, overlaps[lo:hi], branches
+            del branches
 
-    return overlaps, blocks()
+    return len(v), blocks()
 
 
 def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
@@ -342,16 +354,17 @@ def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     index is 16 alice + 4 error + bob, the C-order flat index into the
     (alice, error, bob) axes of ``_branch_bank()``, so
     ``np.unravel_index(branches, (4, 4, 4))`` decodes it; the run's
-    overlap is ``overlaps[branch]``. The branch tables of all N vectors
-    come from one contraction, and the runs of a block of consecutive
+    overlap is ``overlaps[branch]``. The runs of a block of consecutive
     vectors, at most 2**13 unless one vector has more, are classified
-    together; the draws do not depend on the blocks. The arguments are
-    checked at the call; a generator count other than N raises
-    ValueError when the generators are drawn from.
+    together, and the branch tables of a chunk of at most 48 consecutive
+    vectors, a whole number of blocks, come from one contraction, so the
+    tables in use do not grow with N; the draws depend on neither. The
+    arguments are checked at the call; a generator count other than N
+    raises ValueError when the generators are drawn from.
     """
-    overlaps, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
-    return ((overlaps[lo + i], branches.astype(np.intp))
-            for lo, block in blocks for i, branches in enumerate(block))
+    _, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    return ((row, branches.astype(np.intp))
+            for _, overlaps, block in blocks for row, branches in zip(overlaps, block))
 
 
 def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
@@ -362,15 +375,16 @@ def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
     ``sample_branches``, which takes the same arguments. Deterministic
     for fixed generator states.
     """
-    overlaps, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
-    means = np.empty(len(overlaps))
-    stderrs = np.zeros(len(overlaps))
-    for lo, branches in blocks:
+    n, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    means = np.empty(n)
+    stderrs = np.zeros(n)
+    for lo, overlaps, branches in blocks:
         hi = lo + len(branches)
-        sample = overlaps.ravel().take(np.arange(64 * lo, 64 * hi, 64)[:, None] + branches)
+        sample = overlaps.ravel().take(np.arange(0, overlaps.size, 64)[:, None] + branches)
         means[lo:hi] = sample.mean(axis=1)
         if trials > 1:    # std(ddof=1) of one run warns
             stderrs[lo:hi] = sample.std(axis=1, ddof=1) / np.sqrt(trials)
+        del branches, sample    # freed before the next block is drawn
     return means, stderrs
 
 

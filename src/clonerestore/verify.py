@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -392,13 +393,11 @@ def _check_plane_averages(rng):
 
 
 def _check_monte_carlo(rng):
-    worst = 0.0
-    for a2, phi in _SPOT_STATES:
-        psi = core.make_pure(a2, phi)
-        exact = protocol.exact_fidelity(psi, 0.1, 0.2)
-        (mean,), (stderr,) = protocol.mc_estimates(psi.vector[None], 0.1, 0.2, 100_000, (rng,))
-        worst = max(worst, abs(protocol.z_score(mean, stderr, exact)))
-    return worst
+    states = [core.make_pure(a2, phi) for a2, phi in _SPOT_STATES]
+    means, stderrs = protocol.mc_estimates([psi.vector for psi in states], 0.1, 0.2, 100_000,
+                                           (rng,) * len(states))
+    return max(abs(protocol.z_score(mean, stderr, protocol.exact_fidelity(psi, 0.1, 0.2)))
+               for psi, mean, stderr in zip(states, means, stderrs))
 
 
 def _check_sweep_columns(rng):
@@ -437,13 +436,14 @@ _CHECKS = (
 def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
-    ``tol`` overrides the tolerance of the deviation-based checks only;
-    statistical checks always use their z-score threshold. ``seed`` must
-    be an integer >= 0. Each result records its check's wall time. A
-    check that raises ValueError fails with deviation inf.
+    ``tol``, a finite positive real number, overrides the tolerance of the
+    deviation-based checks only; statistical checks always use their z-score
+    threshold. ``seed`` must be an integer >= 0. Each result records its
+    check's wall time. A check that raises ValueError fails with deviation inf.
     """
-    if tol is not None and not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)
+                            or not 0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite positive real number, got {tol!r}")
     core._check_count(seed, "seed", 0)
     results = []
     for name, fn, default_tol, statistical in _CHECKS:

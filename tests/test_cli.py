@@ -86,11 +86,13 @@ def near_ties(values):
 
 
 def cell_texts(values):
-    """The texts of cli._format_cells, checking that each is padded with spaces."""
-    chars, lengths = cli._format_cells(values)
+    """The texts of cli._format_cells, checking that each is padded with spaces
+    and has none of its own."""
+    chars = cli._format_cells(values)
     assert chars.shape == (len(values), cli._CELL_WIDTH)
-    assert np.all(chars[np.arange(cli._CELL_WIDTH) >= lengths[:, None]] == ord(" "))
-    return [bytes(row[:n]).decode("ascii") for row, n in zip(chars, lengths)]
+    texts = [bytes(row).decode("ascii").rstrip(" ") for row in chars]
+    assert not any(" " in text for text in texts)
+    return texts
 
 
 class TestFormatCells:
@@ -509,6 +511,10 @@ class TestVerify:
             assert "--tol" in err
             with pytest.raises(ValueError, match="tol"):
                 run_checks(tol=float(tol))
+        # only a real number, not a bool, a string, a list or an array
+        for tol in (True, "1e-3", [1e-3], np.array([1e-3, 1.0])):
+            with pytest.raises(ValueError, match="tol"):
+                run_checks(tol=tol)
         # the seed is checked beside tol, before numpy's SeedSequence sees it
         for seed in (-1, 1.5, True, "0"):
             with pytest.raises(ValueError, match="seed"):

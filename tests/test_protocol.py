@@ -270,6 +270,15 @@ class TestAnalyticFidelity:
             with pytest.raises(ValueError):
                 f(*args)
 
+    def test_one_return_convention(self):
+        # the five plane evaluators: a numpy scalar for scalars, else an array
+        evaluators = (analytic_fidelity, baseline_fidelity_plane, exact_fidelity_plane,
+                      mixed_input_fidelity_plane, reversed_fidelity_plane)
+        assert {type(f(0.3, 1.0)) for f in evaluators} == {np.float64}
+        for f in evaluators:
+            out = f(np.array([0.3, 0.7]), 1.0)
+            assert type(out) is np.ndarray and out.shape == (2,)
+
     def test_coefficients_are_the_exact_form(self):
         # r^T G r with r = (1, x, y, z) on the sphere, where z = 2a - 1,
         # x^2 + y^2 = 4a(1 - a) and x^2 = 4a(1 - a) cos^2 phi
@@ -689,8 +698,15 @@ class TestMcEstimates:
         with pytest.raises(ValueError, match="p_bit"):
             mc_estimates(KET0.vector[None], 1.5, 0.0, 10, [rng])
 
+    def test_empty_stack(self):
+        empty = np.zeros((0, 2))
+        means, stderrs = mc_estimates(empty, 0.1, 0.2, 10, iter(()))
+        assert means.shape == stderrs.shape == (0,)
+        assert list(sample_branches(empty, 0.1, 0.2, 10, iter(()))) == []
+
     def test_sample_branches_checks_at_the_call(self):
-        # no next(): the checks and the tables come before the generator
+        # no next(): the checks come at the call, the tables only with the
+        # first draw
         rng = np.random.default_rng(0)
         for vectors, p_bit, trials, what in ((KET0.vector[None], 0.0, 0, "trials"),
                                              (np.zeros(3), 0.0, 10, "vectors"),
@@ -721,15 +737,8 @@ class TestSamplerBlocks:
             out.append((overlaps, branches, mean, stderr, rng.bit_generator.state))
         return out
 
-    # 41 states at 1000 trials span several full blocks and a partial last
-    # one; more trials than a block holds put one state in each block; a
-    # block of 3 draws makes 1 and 2 trials span blocks too
-    @pytest.mark.parametrize("n_states, trials, block_draws", [
-        (41, 1000, None), (41, 1, None), (41, 2, None), (41, 1, 3), (41, 2, 3),
-        (3, protocol._BLOCK_DRAWS + 1, None)])
-    def test_stack_matches_per_state(self, monkeypatch, n_states, trials, block_draws):
-        if block_draws is not None:
-            monkeypatch.setattr(protocol, "_BLOCK_DRAWS", block_draws)
+    def check_stack(self, n_states, trials):
+        """The first n_states of VECTORS drawn as one stack match their per-state draws."""
         vectors = self.VECTORS[:n_states]
         seeds = [np.random.SeedSequence((11, k)) for k in range(n_states)]
         expected = self.per_state(vectors, trials, seeds)
@@ -745,6 +754,25 @@ class TestSamplerBlocks:
             assert (means[k], stderrs[k]) == (mean, stderr)
             assert rngs[k].bit_generator.state == state
 
+    # 41 states at 1000 trials span several full blocks and a partial last
+    # one; more trials than a block holds put one state in each block; a
+    # block of 3 draws makes 1 and 2 trials span blocks too
+    @pytest.mark.parametrize("n_states, trials, block_draws", [
+        (41, 1000, None), (41, 1, None), (41, 2, None), (41, 1, 3), (41, 2, 3),
+        (3, protocol._BLOCK_DRAWS + 1, None)])
+    def test_stack_matches_per_state(self, monkeypatch, n_states, trials, block_draws):
+        if block_draws is not None:
+            monkeypatch.setattr(protocol, "_BLOCK_DRAWS", block_draws)
+        self.check_stack(n_states, trials)
+
+    # table chunks of 3 and 5 states cap the blocks, and the 41 states end
+    # off the block boundaries of the default chunk
+    @pytest.mark.parametrize("table_states", [3, 5])
+    @pytest.mark.parametrize("trials", [1000, 2, protocol._BLOCK_DRAWS + 1])
+    def test_chunked_stack_matches_per_state(self, monkeypatch, trials, table_states):
+        monkeypatch.setattr(protocol, "_TABLE_STATES", table_states)
+        self.check_stack(41, trials)
+
     def test_generators_are_drawn_one_block_ahead_at_most(self):
         per_block = protocol._BLOCK_DRAWS // 1000
         made = []
@@ -756,6 +784,23 @@ class TestSamplerBlocks:
 
         for n, _ in enumerate(sample_branches(self.VECTORS, 0.3, 0.0, 1000, rngs())):
             assert n < len(made) <= (n // per_block + 1) * per_block
+
+    @pytest.mark.parametrize("trials", [1000, 2, protocol._BLOCK_DRAWS + 1])
+    def test_tables_are_built_a_chunk_at_a_time(self, monkeypatch, trials):
+        branch_tables, seen = protocol._branch_tables, []
+
+        def spy(v):
+            seen.append(len(v))
+            return branch_tables(v)
+
+        monkeypatch.setattr(protocol, "_branch_tables", spy)
+        vectors = core.state_vector(np.linspace(0.0, 1.0, 300), 0.3 * np.arange(300))
+        for sampler in (sample_branches, mc_estimates):
+            seen.clear()
+            rngs = (np.random.default_rng(k) for k in range(len(vectors)))
+            list(sampler(vectors, 0.3, 0.0, trials, rngs))
+            assert sum(seen) == len(vectors)
+            assert max(seen) <= protocol._TABLE_STATES
 
     @pytest.mark.parametrize("count", [40, 42])
     def test_generator_count_across_blocks(self, count):
