@@ -18,7 +18,7 @@ from contextlib import nullcontext, suppress
 import numpy as np
 
 from . import protocol
-from .core import make_pure, state_vector
+from .core import _check_count, _check_positive, _check_probability, make_pure, state_vector
 from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
@@ -145,43 +145,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
-    return value
+def _checked(convert, check, *args):
+    """An argparse type: ``convert`` the text, then apply the library's rule
+    ``check(value, *args)``, whose ValueError text becomes the usage error.
+    Text that does not convert reads as before: "invalid int value: 'x'"."""
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
-    return value
-
-
-def _int_at_least(text: str, minimum: int, what: str) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"{value} is not {what}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "a positive count")
-
-
-def _alpha_count(text: str) -> int:
-    # the alpha^2 grid includes both endpoints 0 and 1
-    return _int_at_least(text, 2, "an alpha^2 grid size of at least 2")
-
-
-def _trial_count(text: str) -> int:
-    # one trial has no standard error, so its z-score is meaningless
-    return _int_at_least(text, 2, "a trial count of at least 2")
-
-
-def _seed(text: str) -> int:
-    return _int_at_least(text, 0, "a non-negative seed")
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,35 +167,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate state restoration through cloning-based estimation and reversal.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each numeric flag applies the rule of the API argument it feeds
+    p_bit = _checked(float, _check_probability, "p_bit")
+    p_ph = _checked(float, _check_probability, "p_ph")
+    seed = _checked(int, _check_count, "seed", 0)
+    # one trial has no standard error, so its z-score is meaningless
+    trials = _checked(int, _check_count, "trials", 2)
 
     sweep = sub.add_parser("sweep", help="grid sweep of the fidelity surface, CSV output")
-    sweep.add_argument("--grid-alpha", type=_alpha_count, default=201,
-                       help="number of alpha^2 points on [0, 1], endpoints included")
-    sweep.add_argument("--grid-phi", type=_positive_int, default=201,
-                       help="number of phase points on [0, 2pi), endpoint excluded")
+    sweep.add_argument("--grid-alpha", type=_checked(int, _check_count, "n_alpha", 2),
+                       default=201, help="number of alpha^2 points on [0, 1], endpoints included")
+    sweep.add_argument("--grid-phi", type=_checked(int, _check_count, "n_phi", 1),
+                       default=201, help="number of phase points on [0, 2pi), endpoint excluded")
     sweep.add_argument("--mode", choices=_MODES, default="exact",
                        help="fidelity evaluator for the f_exact column and the average")
-    sweep.add_argument("--pbit", type=_probability, default=0.0, help="bit-flip probability")
-    sweep.add_argument("--pph", type=_probability, default=0.0, help="phase-flip probability")
-    sweep.add_argument("--trials", type=_trial_count, default=1000,
+    sweep.add_argument("--pbit", type=p_bit, default=0.0, help="bit-flip probability")
+    sweep.add_argument("--pph", type=p_ph, default=0.0, help="phase-flip probability")
+    sweep.add_argument("--trials", type=trials, default=1000,
                        help="Monte Carlo trajectories per grid point (mode=mc)")
-    sweep.add_argument("--seed", type=_seed, default=0, help="base seed for mode=mc")
+    sweep.add_argument("--seed", type=seed, default=0, help="base seed for mode=mc")
     sweep.add_argument("--out", default="-", help="output path, or - for standard output")
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--tol", type=_positive_float, default=None,
+    verify.add_argument("--tol", type=_checked(float, _check_positive, "tol"), default=None,
                         help="override tolerance for the deviation-based invariants")
-    verify.add_argument("--seed", type=_seed, default=0, help="seed for the randomized invariants")
+    verify.add_argument("--seed", type=seed, default=0, help="seed for the randomized invariants")
     verify.add_argument("--json", action="store_true",
                         help="print one JSON object per invariant, with its wall time")
 
     mc = sub.add_parser("mc", help="Monte Carlo run at one state, checked against the exact value")
-    mc.add_argument("--alpha2", type=_probability, default=1.0, help="population of |0>")
+    mc.add_argument("--alpha2", type=_checked(float, _check_probability, "alpha2"),
+                    default=1.0, help="population of |0>")
     mc.add_argument("--phi", type=_finite_float, default=0.0, help="relative phase in radians")
-    mc.add_argument("--pbit", type=_probability, default=0.0, help="bit-flip probability")
-    mc.add_argument("--pph", type=_probability, default=0.0, help="phase-flip probability")
-    mc.add_argument("--trials", type=_trial_count, default=100_000, help="number of trajectories")
-    mc.add_argument("--seed", type=_seed, default=0, help="random seed")
+    mc.add_argument("--pbit", type=p_bit, default=0.0, help="bit-flip probability")
+    mc.add_argument("--pph", type=p_ph, default=0.0, help="phase-flip probability")
+    mc.add_argument("--trials", type=trials, default=100_000, help="number of trajectories")
+    mc.add_argument("--seed", type=seed, default=0, help="random seed")
     return parser
 
 

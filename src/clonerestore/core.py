@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -105,10 +105,9 @@ class PureQubit:
 def make_pure(alpha2: float, phi: float) -> PureQubit:
     """Build the state with population alpha2 on |0> and relative phase phi.
 
-    Raises ValueError when alpha2 lies outside [0, 1].
+    Raises ValueError unless alpha2 is a real number in [0, 1].
     """
-    if not (0.0 <= alpha2 <= 1.0):
-        raise ValueError(f"alpha2 must lie in [0, 1], got {alpha2}")
+    alpha2 = _check_probability(alpha2, "alpha2")
     return PureQubit(np.sqrt(alpha2), np.sqrt(1.0 - alpha2), phi)
 
 
@@ -217,10 +216,11 @@ def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     """Partial trace of a three-qubit pure state down to one qubit.
 
     The state is an 8-vector indexed big-endian, index = 4 q1 + 2 q2 + q3.
-    ``keep`` selects the surviving qubit (1, 2, or 3). Raises ValueError
-    for an entry that is not finite or exceeds 1e150.
+    ``keep``, an integer 1, 2, or 3, selects the surviving qubit. Raises
+    ValueError for an entry that is not finite or exceeds 1e150.
     """
-    if keep not in (1, 2, 3):
+    _check_count(keep, "keep", 1)
+    if keep > 3:
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
     state = np.asarray(state, dtype=complex).reshape(8)
     if _may_overflow(np.abs(state).max()):
@@ -247,9 +247,10 @@ _ERROR_OPERATORS = _read_only(np.stack([np.eye(2), PAULI_X, PAULI_Z, PAULI_X @ P
 
 
 def error_probabilities(p_bit: float, p_ph: float) -> np.ndarray:
-    """Probabilities of the four ErrorType values; sums to 1."""
-    _check_probability(p_bit, "p_bit")
-    _check_probability(p_ph, "p_ph")
+    """Probabilities of the four ErrorType values; sums to 1. Raises
+    ValueError unless p_bit and p_ph are real numbers in [0, 1]."""
+    p_bit = _check_probability(p_bit, "p_bit")
+    p_ph = _check_probability(p_ph, "p_ph")
     return np.array([
         (1.0 - p_bit) * (1.0 - p_ph),
         p_bit * (1.0 - p_ph),
@@ -258,9 +259,31 @@ def error_probabilities(p_bit: float, p_ph: float) -> np.ndarray:
     ])
 
 
-def _check_probability(p: float, name: str) -> None:
-    if not (0.0 <= p <= 1.0):
+def _check_real(x, name: str) -> float:
+    """x as a Python float, +-inf beyond the double range; ValueError for a
+    bool or anything else that is not a ``numbers.Real``, such as an array."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:    # an int or Fraction beyond the largest double
+        return math.inf if x > 0 else -math.inf
+
+
+def _check_probability(p, name: str) -> float:
+    """p as a Python float; ValueError unless it is a real number in [0, 1]."""
+    value = _check_real(p, name)
+    if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return value
+
+
+def _check_positive(x, name: str) -> float:
+    """x as a Python float; ValueError unless it is a finite positive real number."""
+    value = _check_real(x, name)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive real number, got {x!r}")
+    return value
 
 
 def _check_count(n: int, name: str, minimum: int) -> None:

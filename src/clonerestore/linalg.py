@@ -172,7 +172,11 @@ def nearest_unitary(e: np.ndarray) -> np.ndarray:
 
 
 def haar_random_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-distributed 2x2 unitaries; shape (2, 2) or (size, 2, 2)."""
+    """Haar-distributed 2x2 unitaries; shape (2, 2), or (size, 2, 2) for an integer size >= 0."""
+    from .core import _check_count    # core imports this module
+
+    if size is not None:
+        _check_count(size, "size", 0)
     shape = (2, 2) if size is None else (size, 2, 2)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(g)

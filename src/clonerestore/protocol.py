@@ -24,6 +24,8 @@ from .core import (
     PureQubit,
     _check_count,
     _check_plane,
+    _check_positive,
+    _check_real,
     _float_form,
     _form_numerators,
     _form_values,
@@ -236,10 +238,11 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
 
 def z_score(mean: float, stderr: float, exact: float) -> float:
     """z-score of a Monte Carlo mean against ``exact``; with a zero
-    standard error, 0 if the mean equals ``exact`` to 1e-12, else inf."""
-    if stderr > 0.0:
-        return (mean - exact) / stderr
-    return 0.0 if abs(mean - exact) <= 1e-12 else float("inf")
+    standard error, 0 if the mean equals ``exact`` to 1e-12, else inf.
+    ValueError unless ``stderr`` is 0 or a finite positive real number."""
+    if _check_real(stderr, "stderr") == 0.0:
+        return 0.0 if abs(mean - exact) <= 1e-12 else float("inf")
+    return (mean - exact) / _check_positive(stderr, "stderr")
 
 
 # Protocol runs drawn and classified in one pass of the sampler: a block
@@ -277,11 +280,12 @@ def _branch_tables(v: np.ndarray) -> tuple[np.ndarray, ...]:
     amps = np.einsum("aebij,nj->naebi", _branch_bank(), v)
     # joint weight (given error) and overlap per branch
     norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        overlaps = np.abs(np.einsum("ni,naebi->naeb", v.conj(), amps)) ** 2 / norms2
+    # no weight is 0: a unit vector's weight is at least the bank's least
+    # squared singular value, about 0.004, so no division warns
+    overlaps = np.abs(np.einsum("ni,naebi->naeb", v.conj(), amps)) ** 2 / norms2
     p_alice = norms2[:, :, 0, :].sum(axis=-1)       # error slot 0 is the identity
     cond_bob = norms2 / p_alice[:, :, None, None]
-    return (np.nan_to_num(overlaps).reshape(len(v), 64), p_alice.sum(axis=-1)[:, None],
+    return (overlaps.reshape(len(v), 64), p_alice.sum(axis=-1)[:, None],
             np.cumsum(p_alice, axis=-1).T[:, :, None],
             np.cumsum(cond_bob, axis=-1).reshape(-1, 4).T.copy())
 

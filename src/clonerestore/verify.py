@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -436,14 +435,15 @@ _CHECKS = (
 def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
-    ``tol``, a finite positive real number, overrides the tolerance of the
-    deviation-based checks only; statistical checks always use their z-score
-    threshold. ``seed`` must be an integer >= 0. Each result records its
-    check's wall time. A check that raises ValueError fails with deviation inf.
+    ``tol``, a finite positive real number recorded as a Python float,
+    overrides the tolerance of the deviation-based checks only; statistical
+    checks always use their z-score threshold. ``seed`` must be an integer
+    >= 0. The CLI's ``--tol`` and ``--seed`` apply the same rules. Each result
+    records its check's wall time. A check that raises ValueError fails
+    with deviation inf.
     """
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, Real)
-                            or not 0.0 < tol < math.inf):
-        raise ValueError(f"tol must be a finite positive real number, got {tol!r}")
+    if tol is not None:
+        tol = core._check_positive(tol, "tol")
     core._check_count(seed, "seed", 0)
     results = []
     for name, fn, default_tol, statistical in _CHECKS:

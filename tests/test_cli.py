@@ -441,6 +441,63 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: clonerestore {shlex.join(argv)}")
 
 
+# Each numeric flag: a command that takes it, the conversion of its text
+# and the API call whose argument it feeds (or that argument's rule, where
+# a valid value would start a run); --trials keeps the CLI's minimum of 2.
+NUMERIC_FLAGS = {
+    "--grid-alpha": ("sweep", int, lambda n: core._check_count(n, "n_alpha", 2)),
+    "--grid-phi": ("sweep", int, lambda n: core._check_count(n, "n_phi", 1)),
+    "--trials": ("mc", int, lambda n: core._check_count(n, "trials", 2)),
+    "--seed": ("verify", int, lambda n: core._check_count(n, "seed", 0)),
+    "--pbit": ("sweep", float, lambda p: core.error_probabilities(p, 0.0)),
+    "--pph": ("mc", float, lambda p: core.error_probabilities(0.0, p)),
+    "--alpha2": ("mc", float, lambda a: make_pure(a, 0.0)),
+    "--tol": ("verify", float, lambda t: core._check_positive(t, "tol")),
+}
+flag_texts = st.one_of(
+    st.integers().map(str),
+    st.integers(min_value=-10**400, max_value=10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "-1e400", "-0.0", "0", "1", "2", "0.5", "True",
+                     "", " 3 ", "1_000", "0x10"]),
+    st.text(max_size=8),
+)
+
+
+@pytest.mark.parametrize("flag", list(NUMERIC_FLAGS))
+@given(text=flag_texts)
+@settings(max_examples=60, deadline=None)
+def test_flags_apply_the_library_rules(flag, text):
+    """A flag rejects exactly the text that does not convert or whose value
+    the library rejects, with exit 2 and, last on stderr, the library's own
+    ValueError text behind argparse's ``argument --flag:`` prefix."""
+    command, convert, api = NUMERIC_FLAGS[flag]
+    expected = None
+    try:
+        value = convert(text)
+    except ValueError:
+        expected = f"invalid {convert.__name__} value: {text!r}"
+    else:
+        try:
+            api(value)
+        except ValueError as exc:
+            expected = str(exc)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args([command, f"{flag}={text}"])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    if expected is None:
+        assert (code, err.getvalue()) == (0, "")
+        assert repr(getattr(args, flag[2:].replace("-", "_"))) == repr(value)
+    else:
+        assert code == 2
+        assert err.getvalue().splitlines()[-1] == (
+            f"clonerestore {command}: error: argument {flag}: {expected}")
+
+
 class TestVerify:
     def test_swapped_rule_detected(self, swapped_rule):
         code, out, _ = run_cli(["verify"])
@@ -519,6 +576,20 @@ class TestVerify:
         for seed in (-1, 1.5, True, "0"):
             with pytest.raises(ValueError, match="seed"):
                 run_checks(seed=seed)
+
+    def test_tolerance_is_one_float(self):
+        # an int beyond the double range is out of range: it used to pass
+        # and make the report's tol= format raise OverflowError
+        for tol in (10**400, -10**400):
+            with pytest.raises(ValueError, match="tol must be a finite positive real number"):
+                run_checks(tol=tol)
+        # a numpy scalar is recorded as a Python float: no overflow-in-cast
+        # warning (an error under pytest's filter) and strict JSON
+        report = run_checks(tol=np.float32(1e-3), seed=1)
+        assert {type(r.tolerance) for r in report.results} == {float}
+        assert report.lines()[-1] == "verify: 21/21 invariants passed"
+        records = [json.loads(line) for line in report.json_lines()]
+        assert {r["tolerance"] for r in records if not r["statistical"]} == {float(np.float32(1e-3))}
 
     def test_json_matches_text(self):
         code, text, _ = run_cli(["verify", "--seed", "4"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,29 @@ class TestErrorChannel:
         with pytest.raises(ValueError):
             error_channel(p_bit, p_ph)
 
+    # a bool, a string, a complex number, None and any array are not real
+    # numbers: ValueError naming the argument, not a result, a TypeError
+    # or numpy's "truth value of an array is ambiguous"
+    @pytest.mark.parametrize("x", [True, False, "0.1", 0.5j, None, [0.5],
+                                   np.array([0.1, 0.2]), np.array(0.5)])
+    def test_probabilities_are_real_numbers(self, x):
+        for name, call in (("p_bit", lambda: error_probabilities(x, 0.0)),
+                           ("p_ph", lambda: error_probabilities(0.0, x)),
+                           ("alpha2", lambda: make_pure(x, 0.0))):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                call()
+
+    def test_real_numbers_of_any_type(self):
+        # ints, Fractions and numpy scalars are real numbers; an int beyond
+        # the double range is out of range, not an OverflowError
+        ref = error_probabilities(0.25, 0.5)
+        for p in (Fraction(1, 4), np.float32(0.25), np.float64(0.25)):
+            assert error_probabilities(p, np.int64(1) / 2).tolist() == ref.tolist()
+        assert make_pure(np.int8(1), 0.0) == KET0
+        for p in (10**400, -10**400):
+            with pytest.raises(ValueError, match="p_bit must lie in"):
+                error_probabilities(p, 0.0)
+
     def test_error_type_operators(self):
         np.testing.assert_array_equal(ErrorType.BIT_FLIP.operator, PAULI_X)
         np.testing.assert_array_equal(ErrorType.PHASE_FLIP.operator, PAULI_Z)
@@ -359,9 +384,10 @@ class TestReduceQubit:
         for keep in (1, 2, 3):
             np.testing.assert_allclose(reduce_qubit(ghz, keep), MAXIMALLY_MIXED, atol=1e-15)
 
-    @pytest.mark.parametrize("keep", [0, 4, -1])
+    # an integer 1, 2 or 3: a bool or a float equal to one is not
+    @pytest.mark.parametrize("keep", [0, 4, -1, True, 1.0, "1", np.array([1])])
     def test_index_domain(self, keep):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="keep must be"):
             reduce_qubit(np.zeros(8), keep)
 
     def test_wrong_length_rejected(self):

@@ -188,6 +188,15 @@ class TestPredicates:
         for t in haar_random_unitary(rng, 100):
             assert is_unitary(t)
 
+    def test_haar_size_is_a_count(self):
+        rng = np.random.default_rng(23)
+        assert haar_random_unitary(rng, 0).shape == (0, 2, 2)
+        assert haar_random_unitary(rng, np.int64(3)).shape == (3, 2, 2)
+        for size, message in ((True, "an integer"), (2.0, "an integer"), ("2", "an integer"),
+                              (-1, "at least 0")):
+            with pytest.raises(ValueError, match=f"size must be {message}"):
+                haar_random_unitary(rng, size)
+
 
 # Hermitian matrices, whose only fault is a non-finite entry, and a NaN or
 # an infinity beside an entry whose square overflows

@@ -476,6 +476,14 @@ class TestProtocolProperties:
                                                  abs=1e-12)
 
 
+def test_branch_operators_are_invertible():
+    # a unit vector's branch weight |M v|^2 is at least M's least squared
+    # singular value, so the sampler's overlap tables never divide by 0
+    singular = np.linalg.svd(protocol._branch_bank(), compute_uv=False)
+    assert singular.shape == (4, 4, 4, 2)
+    assert np.min(singular[..., -1]) ** 2 >= 0.004
+
+
 class TestSharedArrays:
     def test_in_place_writes_raise(self):
         est = estimation_elements()
@@ -613,6 +621,14 @@ class TestMcEstimate:
         assert z_score(0.6, 0.05, 0.5) == pytest.approx(2.0)
         assert z_score(0.5 + 1e-13, 0.0, 0.5) == 0.0
         assert z_score(0.5 + 1e-9, 0.0, 0.5) == float("inf")
+
+    @pytest.mark.parametrize("stderr", [-1.0, -1e-300, np.nan, np.inf, -np.inf,
+                                        pytest.param(10**400, id="10**400"),
+                                        True, "0.1", np.array([0.1, 0.2])])
+    def test_z_score_stderr_domain(self, stderr):
+        # a negative error used to give inf or a sign-flipped z, not an error
+        with pytest.raises(ValueError, match="stderr"):
+            z_score(0.5, stderr, 0.4)
 
 
 def _reference_mc(psi, p_bit, p_ph, trials, rng):
