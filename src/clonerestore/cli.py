@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph = _checked(float, _check_probability, "p_ph")
     seed = _checked(int, _check_count, "seed", 0)
     # one trial has no standard error, so its z-score is meaningless
-    trials = _checked(int, _check_count, "trials", 2)
+    trials = _checked(int, protocol._check_trials, 2)
 
     sweep = sub.add_parser("sweep", help="grid sweep of the fidelity surface, CSV output")
     sweep.add_argument("--grid-alpha", type=_checked(int, _check_count, "n_alpha", 2),

@@ -42,7 +42,8 @@ class PureQubit:
 
     alpha and beta are nonnegative; phi is reduced into [0, 2*pi) and
     forced to 0 whenever either amplitude vanishes (the phase is
-    undefined at the poles).
+    undefined at the poles). ValueError unless each field is a finite real
+    number, not a bool or a string, and the amplitudes are normalized.
     """
 
     alpha: float
@@ -50,7 +51,8 @@ class PureQubit:
     phi: float = 0.0
 
     def __post_init__(self):
-        a, b, p = float(self.alpha), float(self.beta), float(self.phi)
+        a, b, p = (_check_real(self.alpha, "alpha"), _check_real(self.beta, "beta"),
+                   _check_real(self.phi, "phi"))
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(p)):
             raise ValueError("state parameters must be finite")
         if a < 0.0 or b < 0.0:
@@ -105,7 +107,8 @@ class PureQubit:
 def make_pure(alpha2: float, phi: float) -> PureQubit:
     """Build the state with population alpha2 on |0> and relative phase phi.
 
-    Raises ValueError unless alpha2 is a real number in [0, 1].
+    Raises ValueError unless alpha2 is a real number in [0, 1] and phi a
+    finite real number.
     """
     alpha2 = _check_probability(alpha2, "alpha2")
     return PureQubit(np.sqrt(alpha2), np.sqrt(1.0 - alpha2), phi)
@@ -262,6 +265,8 @@ def error_probabilities(p_bit: float, p_ph: float) -> np.ndarray:
 def _check_real(x, name: str) -> float:
     """x as a Python float, +-inf beyond the double range; ValueError for a
     bool or anything else that is not a ``numbers.Real``, such as an array."""
+    if isinstance(x, float):    # numpy's float64 too; the common case, and the fastest test
+        return float(x)
     if isinstance(x, bool) or not isinstance(x, Real):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     try:
@@ -275,6 +280,14 @@ def _check_probability(p, name: str) -> float:
     value = _check_real(p, name)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return value
+
+
+def _check_finite(x, name: str) -> float:
+    """x as a Python float; ValueError unless it is a finite real number."""
+    value = _check_real(x, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
     return value
 
 

@@ -11,6 +11,7 @@ three coincide, which is exactly the protocol's error-rate independence.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from .core import (
     ErrorType,
     PureQubit,
     _check_count,
+    _check_finite,
     _check_plane,
     _check_positive,
     _check_real,
@@ -239,7 +241,9 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
 def z_score(mean: float, stderr: float, exact: float) -> float:
     """z-score of a Monte Carlo mean against ``exact``; with a zero
     standard error, 0 if the mean equals ``exact`` to 1e-12, else inf.
-    ValueError unless ``stderr`` is 0 or a finite positive real number."""
+    ValueError unless ``mean`` and ``exact`` are finite real numbers and
+    ``stderr`` is 0 or a finite positive real number."""
+    mean, exact = _check_finite(mean, "mean"), _check_finite(exact, "exact")
     if _check_real(stderr, "stderr") == 0.0:
         return 0.0 if abs(mean - exact) <= 1e-12 else float("inf")
     return (mean - exact) / _check_positive(stderr, "stderr")
@@ -247,13 +251,34 @@ def z_score(mean: float, stderr: float, exact: float) -> float:
 
 # Protocol runs drawn and classified in one pass of the sampler: a block
 # of consecutive states holds at most this many runs, and a state with
-# more runs fills a block alone. It bounds the draw buffers whatever the
-# stack or trial count; the draws do not depend on it.
+# more runs is a block alone, drawn in chunks of at most this many. It
+# bounds the draw buffers whatever the stack or trial count; the draws do
+# not depend on it.
 _BLOCK_DRAWS = 2 ** 13
 # States whose branch tables are alive at once: the sampler builds the
 # tables of a chunk of at most this many consecutive states, a whole number
 # of blocks, in one contraction; the draws do not depend on it.
 _TABLE_STATES = 48
+
+
+def _check_trials(trials: int, minimum: int = 1) -> None:
+    """Raise ValueError unless ``trials`` is an integer, not a bool, from
+    ``minimum`` to 2**53: up to 2**53 every branch count, and so each term
+    of a mean made from counts, is exact as a double."""
+    _check_count(trials, "trials", minimum)
+    if trials > 2 ** 53:
+        raise ValueError(f"trials must be at most 2**53, got {trials}")
+
+
+def _pcg_generator(rng) -> np.random.Generator:
+    """rng, if it is a numpy Generator on a PCG64 or PCG64DXSM bit generator;
+    else ValueError naming ``rngs``. The chunked draws need ``advance`` by
+    single 64-bit draws: MT19937 and SFC64 have no ``advance``, and Philox's
+    steps whole blocks of four draws."""
+    if not isinstance(getattr(rng, "bit_generator", None), (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError("rngs must yield numpy Generators on a PCG64 or PCG64DXSM bit "
+                         f"generator, as default_rng makes, got {rng!r}")
+    return rng
 
 
 def _inverse_cdf(thresholds, x) -> np.ndarray:
@@ -290,17 +315,76 @@ def _branch_tables(v: np.ndarray) -> tuple[np.ndarray, ...]:
             np.cumsum(cond_bob, axis=-1).reshape(-1, 4).T.copy())
 
 
+def _stream_chunks(rng: np.random.Generator, trials: int,
+                   u: np.ndarray) -> Iterator[np.ndarray]:
+    """The doubles of three ``rng.random(trials)`` calls, chunk by chunk.
+
+    ``u`` is a (1, 3, width) buffer. Each chunk is ``u[:, :, :runs]``, filled
+    with the next ``runs`` <= width doubles of the first, second and third
+    call's stream. The first stream is rng's own; the others are copies of
+    its bit generator, advanced by ``trials`` and ``2 * trials``. After the
+    last chunk rng stands where the three calls would have left it.
+    """
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
+    streams = [rng]
+    for skip in (trials, 2 * trials):
+        # a fixed seed, not OS entropy: the state is replaced at once
+        copy = type(bit_generator)(0)
+        copy.state = start
+        copy.advance(skip)
+        streams.append(np.random.Generator(copy))
+    width = u.shape[-1]
+    for lo in range(0, trials, width):
+        chunk = u[:, :, :min(width, trials - lo)]
+        for stream, row in zip(streams, chunk[0]):
+            stream.random(out=row)
+        yield chunk
+    # advance clears the buffered 32-bit half that random doubles leave alone
+    bit_generator.state = dict(start, state=streams[2].bit_generator.state["state"])
+
+
+def _classified(draws: Iterable[np.ndarray], total_alice: np.ndarray, cum_alice: np.ndarray,
+                cum_err: np.ndarray, cum_bob: np.ndarray) -> Iterator[np.ndarray]:
+    """Classify each array of ``draws`` into runs: yields 64 k + branch,
+    shape (states, runs), for the runs of the k-th state.
+
+    An array holds the uniform doubles of the alice, error and bob streams
+    of each state, shape (states, 3, runs); it is scaled in place.
+    ``total_alice``, ``cum_alice`` and ``cum_bob`` are ``_branch_tables``'
+    for the states, and ``cum_err`` the cumulative error probabilities.
+    """
+    first_cols = np.arange(0, 16 * len(total_alice), 16)[:, None]
+    for u in draws:
+        alice, error, bob = u.transpose(1, 0, 2)
+        alice *= total_alice
+        row = _inverse_cdf(cum_alice[:3], alice)
+        row <<= 2
+        row += _inverse_cdf(cum_err[:3], error)
+        col = first_cols + row
+        bob *= cum_bob[3].take(col)
+        outcome = _inverse_cdf((c.take(col) for c in cum_bob[:3]), bob)
+        col <<= 2
+        col += outcome
+        yield col
+
+
 def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
                    rngs: Iterable[np.random.Generator]
-                   ) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+                   ) -> tuple[int, Iterator[tuple[int, np.ndarray, Iterator[np.ndarray]]]]:
     """Check the sampler's arguments; return the stack's size and its blocks.
 
-    The generator yields, block by block, the first state of the block,
-    its states' (states, 64) branch overlaps and their uint8 branch
-    indices, shape (states, trials), drawn as ``sample_branches``
-    documents. It builds the tables of a chunk of states at its first draw.
+    The generator yields, block by block, the first state of the block, its
+    states' (states, 64) branch overlaps and an iterator over their runs,
+    drawn as ``sample_branches`` documents: arrays of shape (states, runs)
+    of 64 k + branch for the block's k-th state. A block of states with at
+    most ``_BLOCK_DRAWS`` runs each has one array. A state with more runs is
+    a block alone, with one array per chunk of at most that many runs, drawn
+    when the iterator reaches it. Take each array before the next, and a
+    block's arrays before the next block: they share one draw buffer. The
+    tables of a chunk of states are built at its first draw.
     """
-    _check_count(trials, "trials", 1)
+    _check_trials(trials)
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("vectors must have shape (N, 2)")
@@ -313,32 +397,26 @@ def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
     chunk = per_block * (_TABLE_STATES // per_block)
 
     def blocks():
-        u = np.empty((min(per_block, len(v)), 3, trials))
+        u = np.empty((min(per_block, len(v)), 3, min(trials, _BLOCK_DRAWS)))
         for n, rng in zip(range(len(v)), rngs, strict=True):
+            rng = _pcg_generator(rng)
             if n % chunk == 0:
                 first = n
                 overlaps, total_alice, cum_alice, cum_bob = _branch_tables(v[n:n + chunk])
             i = n % per_block
-            # the same doubles, and the same final generator state, as
-            # three rng.random(trials) calls
-            rng.random(out=u[i])
-            if i + 1 < len(u) and n + 1 < len(v):
-                continue
+            if trials <= _BLOCK_DRAWS:
+                # the same doubles, and the same final generator state, as
+                # three rng.random(trials) calls
+                rng.random(out=u[i])
+                if i + 1 < len(u) and n + 1 < len(v):
+                    continue
+                draws = (u[:i + 1],)
+            else:
+                draws = _stream_chunks(rng, trials, u)
             lo, hi = n - i - first, n + 1 - first
-            # views of the buffer, scaled in place: it is refilled next block
-            alice, error, bob = u[:i + 1].transpose(1, 0, 2)
-            alice *= total_alice[lo:hi]
-            row = _inverse_cdf(cum_alice[:3, lo:hi], alice)
-            row <<= 2
-            row += _inverse_cdf(cum_err[:3], error)
-            col = np.arange(16 * lo, 16 * hi, 16)[:, None] + row
-            bob *= cum_bob[3].take(col)
-            branches = _inverse_cdf((c.take(col) for c in cum_bob[:3]), bob)
-            row <<= 2
-            branches += row
-            del row, col    # this block's arrays are freed before the next is drawn
-            yield n - i, overlaps[lo:hi], branches
-            del branches
+            yield n - i, overlaps[lo:hi], _classified(
+                draws, total_alice[lo:hi], cum_alice[:, lo:hi], cum_err,
+                cum_bob[:, 16 * lo:16 * hi])
 
     return len(v), blocks()
 
@@ -353,43 +431,99 @@ def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     generator that yields, vector by vector, its 64 branch overlaps and
     ``trials`` branch indices. A run is one branch: Alice's outcome, then
     the channel error, then Bob's outcome, drawn from the exact
-    conditional distributions with one ``rng.random`` call per state,
-    which gives the doubles of three ``rng.random(trials)`` calls. The
-    index is 16 alice + 4 error + bob, the C-order flat index into the
-    (alice, error, bob) axes of ``_branch_bank()``, so
-    ``np.unravel_index(branches, (4, 4, 4))`` decodes it; the run's
-    overlap is ``overlaps[branch]``. The runs of a block of consecutive
-    vectors, at most 2**13 unless one vector has more, are classified
-    together, and the branch tables of a chunk of at most 48 consecutive
-    vectors, a whole number of blocks, come from one contraction, so the
-    tables in use do not grow with N; the draws depend on neither. The
-    arguments are checked at the call; a generator count other than N
-    raises ValueError when the generators are drawn from.
+    conditional distributions with the doubles of three
+    ``rng.random(trials)`` calls, one stream each, and the generator is
+    left where those calls leave it. The index is 16 alice + 4 error + bob,
+    the C-order flat index into the (alice, error, bob) axes of
+    ``_branch_bank()``, so ``np.unravel_index(branches, (4, 4, 4))``
+    decodes it; the run's overlap is ``overlaps[branch]``.
+
+    The runs of a block of consecutive vectors with at most 2**13 runs
+    each are drawn with one ``rng.random`` call per vector and classified
+    together. A vector with more runs is drawn alone, in chunks of 2**13:
+    each stream from its own copy of the generator, advanced to the
+    stream's start, so the generator's bit generator must have an
+    ``advance`` by single draws, PCG64 (``default_rng``'s) or PCG64DXSM.
+    The branch tables of a chunk of at most 48 consecutive vectors, a whole
+    number of blocks, come from one contraction, so the tables in use do
+    not grow with N; the draws depend on none of these sizes. The
+    arguments, ``trials`` from 1 to 2**53 included, are checked at the
+    call. A generator count other than N, or a generator on another bit
+    generator, raises ValueError when the generators are drawn from.
     """
     _, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
-    return ((row, branches.astype(np.intp))
-            for _, overlaps, block in blocks for row, branches in zip(overlaps, block))
+
+    def states():
+        for _, overlaps, draws in blocks:
+            keys = np.concatenate(list(draws), axis=1)
+            keys -= np.arange(0, 64 * len(keys), 64)[:, None]
+            yield from zip(overlaps, keys)
+
+    return states()
+
+
+def _block_counts(vectors, p_bit: float, p_ph: float, trials: int,
+                  rngs: Iterable[np.random.Generator]
+                  ) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """``_branch_blocks`` with each block's runs reduced, as they are drawn,
+    to its states' (states, 64) int64 branch counts: one ``np.bincount``
+    per array of runs, the arrays of a state drawn in chunks added up."""
+    n, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    return n, ((lo, overlaps,
+                sum(np.bincount(keys.ravel(), minlength=64 * len(overlaps))
+                    for keys in draws).reshape(-1, 64))
+               for lo, overlaps, draws in blocks)
+
+
+def branch_counts(vectors, p_bit: float, p_ph: float, trials: int,
+                  rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's 64 branch overlaps and the branch counts of its runs.
+
+    Takes ``sample_branches``' arguments and draws the same runs. Returns
+    two (N, 64) arrays: the overlaps, and the int64 counts whose row k is
+    ``np.bincount(branches, minlength=64)`` of state k's branch indices,
+    so it sums to ``trials``. The runs are counted as they are drawn, so
+    the memory used does not grow with ``trials``.
+    """
+    n, blocks = _block_counts(vectors, p_bit, p_ph, trials, rngs)
+    overlaps = np.empty((n, 64))
+    counts = np.empty((n, 64), dtype=np.int64)
+    for lo, block_overlaps, block_counts in blocks:
+        overlaps[lo:lo + len(block_counts)] = block_overlaps
+        counts[lo:lo + len(block_counts)] = block_counts
+    return overlaps, counts
 
 
 def mc_estimates(vectors, p_bit: float, p_ph: float, trials: int,
                  rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors for a stack of input states.
 
-    Each point averages the overlaps of its ``trials`` runs drawn by
-    ``sample_branches``, which takes the same arguments. Deterministic
-    for fixed generator states.
+    The reduction of ``branch_counts``, which takes the same arguments:
+    with a state's 64 counts c and overlaps o, its mean is
+    m = c . o / trials and its standard error
+    sqrt(c . (o - m)**2 / (trials - 1)) / sqrt(trials), 0 at one trial.
+    These are the mean and ``std(ddof=1)`` / sqrt(trials) of the overlaps
+    of its ``trials`` runs, summed per branch, not per run. Each block of
+    states is reduced as soon as it is drawn, so neither an (N, 64) table
+    nor a run's draw outlives its block. Deterministic for fixed generator
+    states.
     """
-    n, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
+    n, blocks = _block_counts(vectors, p_bit, p_ph, trials, rngs)
     means = np.empty(n)
     stderrs = np.zeros(n)
-    for lo, overlaps, branches in blocks:
-        hi = lo + len(branches)
-        sample = overlaps.ravel().take(np.arange(0, overlaps.size, 64)[:, None] + branches)
-        means[lo:hi] = sample.mean(axis=1)
-        if trials > 1:    # std(ddof=1) of one run warns
-            stderrs[lo:hi] = sample.std(axis=1, ddof=1) / np.sqrt(trials)
-        del branches, sample    # freed before the next block is drawn
+    for lo, overlaps, counts in blocks:
+        hi = lo + len(counts)
+        means[lo:hi] = _row_sums(counts * overlaps) / trials
+        if trials > 1:    # one run has no spread, and trials - 1 would be 0
+            spread = _row_sums(counts * (overlaps - means[lo:hi, None]) ** 2)
+            stderrs[lo:hi] = np.sqrt(spread / (trials - 1)) / np.sqrt(trials)
     return means, stderrs
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of the 2-D ``terms``:
+    ``math.fsum``, whose only rounding is the result's."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 # perfbench/probe.py calls these two one-state forms by name to time the

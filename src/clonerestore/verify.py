@@ -211,9 +211,9 @@ def _check_channel_density(rng):
 def _check_sampling_frequencies(rng):
     n = 100_000
     ket0 = core.make_pure(1.0, 0.0).vector[None]
-    _, branches = next(protocol.sample_branches(ket0, 0.1, 0.2, n, (rng,)))
-    alice, error, _ = np.unravel_index(branches, (4, 4, 4))
-    counts = np.concatenate([np.bincount(alice, minlength=4), np.bincount(error, minlength=4)])
+    _, (counts,) = protocol.branch_counts(ket0, 0.1, 0.2, n, (rng,))
+    table = counts.reshape(4, 4, 4)    # (alice, error, bob)
+    counts = np.concatenate([table.sum(axis=(1, 2)), table.sum(axis=(0, 2))])
     probs = np.concatenate([[1 / 3, 1 / 6, 1 / 3, 1 / 6], core.error_probabilities(0.1, 0.2)])
     sigma = np.sqrt(probs * (1 - probs) / n)
     return float(np.max(np.abs(counts / n - probs) / sigma))

@@ -1,4 +1,4 @@
-"""High-precision arbiter for the five plane evaluators.
+"""High-precision arbiter for the five plane evaluators and the Monte Carlo mean.
 
 Each evaluator's surface has a closed form. mpmath evaluates it at 40
 digits at the same float (alpha2, phi) the evaluator receives, on the
@@ -6,9 +6,13 @@ digits at the same float (alpha2, phi) the evaluator receives, on the
 per evaluator: the cells whose ``%.12g`` (the CLI's format) is not the
 correctly rounded truth, and the largest relative error in units of
 2^-53. A kernel change may lower a pin and never raise it.
+
+The Monte Carlo mean of a state's runs is exact as a Fraction of its 64
+branch counts and overlaps; ``mc_estimates``' mean is pinned against it.
 """
 
 from decimal import Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -21,8 +25,11 @@ from clonerestore import (
     baseline_fidelity_plane,
     exact_fidelity_plane,
     mixed_input_fidelity_plane,
+    mc_estimates,
     phi_grid,
     reversed_fidelity_plane,
+    sample_branches,
+    state_vector,
 )
 
 RATES = (0.3, 0.6)
@@ -99,3 +106,36 @@ def test_no_more_wrong_cells_than_pinned(name):
     max_wrong, max_worst = PINS[name]
     assert wrong <= max_wrong
     assert worst <= max_worst
+
+
+# (state, seed) draws of the Monte Carlo arbiter, at 2 to 20,000 trials
+MC_DRAWS = 240
+# largest error of mc_estimates' mean in units of 2^-53, an upper bound
+MC_PIN = 1.0
+
+
+def mc_mean_errors():
+    """Largest |mean - exact| over MC_DRAWS random states, rates and trial
+    counts, in units of 2^-53: of ``mc_estimates``' mean, from branch
+    counts, and of numpy's mean of the same runs' overlaps. The exact mean
+    is the Fraction sum of count times overlap over the trials."""
+    rng = np.random.default_rng(2003)
+    worst_counts = worst_sample = Fraction(0)
+    for seed in range(MC_DRAWS):
+        alpha2, phi, p_bit, p_ph = rng.random(4)
+        trials = int(rng.integers(2, 20_001))
+        v = state_vector(alpha2, 2 * np.pi * phi)[None]
+        overlaps, branches = next(sample_branches(v, p_bit, p_ph, trials,
+                                                  (np.random.default_rng(seed),)))
+        (mean,), _ = mc_estimates(v, p_bit, p_ph, trials, (np.random.default_rng(seed),))
+        counts = np.bincount(branches, minlength=64)
+        exact = sum(int(c) * Fraction(float(o)) for c, o in zip(counts, overlaps)) / trials
+        worst_counts = max(worst_counts, abs(Fraction(float(mean)) - exact))
+        sample_mean = float(overlaps.take(branches).mean())
+        worst_sample = max(worst_sample, abs(Fraction(sample_mean) - exact))
+    return float(worst_counts * 2 ** 53), float(worst_sample * 2 ** 53)
+
+
+def test_counts_mean_is_no_less_exact_than_the_sample_mean():
+    counts, sample = mc_mean_errors()
+    assert counts <= min(sample, MC_PIN)

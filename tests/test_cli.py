@@ -447,7 +447,7 @@ def test_readme_commands_parse():
 NUMERIC_FLAGS = {
     "--grid-alpha": ("sweep", int, lambda n: core._check_count(n, "n_alpha", 2)),
     "--grid-phi": ("sweep", int, lambda n: core._check_count(n, "n_phi", 1)),
-    "--trials": ("mc", int, lambda n: core._check_count(n, "trials", 2)),
+    "--trials": ("mc", int, lambda n: protocol._check_trials(n, 2)),
     "--seed": ("verify", int, lambda n: core._check_count(n, "seed", 0)),
     "--pbit": ("sweep", float, lambda p: core.error_probabilities(p, 0.0)),
     "--pph": ("mc", float, lambda p: core.error_probabilities(0.0, p)),
@@ -666,14 +666,13 @@ COMMANDS = [["verify"], ["mc", "--trials", "1000"], ["sweep", "--grid-alpha", "3
 
 
 class TestExitTwo:
-    """Output that cannot be written or counts too large to allocate: one
-    line on stderr naming the command, and exit 2, never a traceback."""
+    """Output that cannot be written, counts too large to allocate and trial
+    counts too large to count exactly: one error line on stderr naming the
+    command, and exit 2, never a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--grid-alpha", str(10**17)],
         ["sweep", "--grid-phi", str(10**17)],
-        ["sweep", "--mode", "mc", "--grid-alpha", "2", "--grid-phi", "1", "--trials", str(10**15)],
-        ["mc", "--trials", str(10**15)],
     ])
     def test_count_too_large_to_allocate(self, argv):
         code, out, err = run_cli(argv)
@@ -681,6 +680,18 @@ class TestExitTwo:
         assert err.startswith(f"{argv[0]}: out of memory: ") and err.count("\n") == 1
         # a sweep has written a prefix of its output: the header at most
         assert out in ("", "alpha2,phi,f_exact,f_analytic,f_mc,mc_stderr\n")
+
+    # the sampler's memory does not grow with --trials, so no trial count
+    # runs out of it; beyond 2**53 a branch count is not exact as a double
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "mc", "--grid-alpha", "2", "--grid-phi", "1"],
+        ["mc"],
+    ])
+    def test_trials_beyond_exact_counts(self, argv):
+        code, out, err = run_cli(argv + ["--trials", str(2**53 + 1)])
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and err.endswith(
+            f"error: argument --trials: trials must be at most 2**53, got {2**53 + 1}\n")
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_closed_stdout_in_process(self, argv):

@@ -124,6 +124,16 @@ class TestPureQubit:
         with pytest.raises(ValueError):
             PureQubit(np.nan, 0.0, 0.0)
 
+    # phi and the fields take alpha2's rule: a bool or a string is not a
+    # real number
+    @pytest.mark.parametrize("make, args, name", [
+        (make_pure, (0.5, "1.0"), "phi"), (make_pure, (0.5, True), "phi"),
+        (PureQubit, (True, False, "0"), "alpha"), (PureQubit, (1.0, False, 0.0), "beta"),
+        (PureQubit, (1.0, 0.0, "0"), "phi"), (PureQubit, (1.0, 0.0, np.array(0.0)), "phi")])
+    def test_fields_are_real_numbers(self, make, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            make(*args)
+
     def test_phi_wraps(self):
         psi = PureQubit(np.sqrt(0.5), np.sqrt(0.5), 5 * np.pi)
         assert psi.phi == pytest.approx(np.pi)

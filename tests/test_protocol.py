@@ -1,3 +1,5 @@
+import tracemalloc
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,7 @@ from clonerestore.protocol import (
     analytic_fidelity,
     baseline_fidelity_plane,
     bloch_form,
+    branch_counts,
     branch_statistics,
     correction_unitary,
     exact_fidelity,
@@ -630,9 +633,20 @@ class TestMcEstimate:
         with pytest.raises(ValueError, match="stderr"):
             z_score(0.5, stderr, 0.4)
 
+    # a mean or exact value that is not a finite real number has no z-score
+    @pytest.mark.parametrize("stderr", [0.1, 0.0])
+    @pytest.mark.parametrize("mean, exact, name", [
+        (np.nan, 0.5, "mean"), (np.inf, 0.5, "mean"), ("0.5", 0.5, "mean"), (True, 0.5, "mean"),
+        (0.5, np.nan, "exact"), (0.5, -np.inf, "exact"), (0.5, np.array([0.5]), "exact")])
+    def test_z_score_mean_and_exact_domain(self, mean, exact, name, stderr):
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            z_score(mean, stderr, exact)
+
 
 def _reference_mc(psi, p_bit, p_ph, trials, rng):
-    """Reference sampler: searchsorted draws on one state's own branch tables."""
+    """Reference sampler: searchsorted draws on one state's own branch
+    tables, from three ``rng.random(trials)`` calls. Returns the 64 branch
+    overlaps and the branch counts of the runs."""
     v = psi.vector
     amps = np.einsum("aebij,j->aebi", protocol._branch_bank(), v)
     norms2 = np.sum(np.abs(amps) ** 2, axis=-1)
@@ -647,30 +661,50 @@ def _reference_mc(psi, p_bit, p_ph, trials, rng):
     e = np.minimum(np.searchsorted(np.cumsum(p_err), rng.random(trials), side="right"), 3)
     rows = np.cumsum(cond_bob[a, e, :], axis=1)
     b = np.minimum(np.sum(rows <= (rng.random(trials) * rows[:, -1])[:, None], axis=1), 3)
-    sample = overlaps[a, e, b]
-    return float(sample.mean()), float(sample.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return overlaps.ravel(), np.bincount(16 * a + 4 * e + b, minlength=64)
+
+
+def exact_estimates(overlaps, counts):
+    """The exact mean, a Fraction, and the standard error, to 40 digits, of
+    runs with these 64 branch overlaps and counts."""
+    trials = int(counts.sum())
+    terms = [(int(c), Fraction(float(o))) for c, o in zip(counts, overlaps)]
+    mean = sum(c * o for c, o in terms) / trials
+    if trials == 1:
+        return mean, Fraction(0)
+    var = sum(c * (o - mean) ** 2 for c, o in terms) / ((trials - 1) * trials)
+    digits = Context(prec=40)
+    return mean, Fraction(digits.sqrt(digits.divide(Decimal(var.numerator),
+                                                    Decimal(var.denominator))))
 
 
 class TestMcEstimates:
     # the poles, the equator at phi = pi/2 and two generic states
     STATES = [(0.0, 0.0), (1.0, 0.0), (0.5, np.pi / 2), (0.3, 2.0), (0.85, 5.5)]
 
+    # 10_007 trials are drawn in chunks
     @pytest.mark.parametrize("p_bit, p_ph", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.6)])
-    @pytest.mark.parametrize("trials", [1, 2, 2000])
+    @pytest.mark.parametrize("trials", [1, 2, 2000, 10_007])
     def test_batched_matches_single_points(self, p_bit, p_ph, trials):
+        # each state's counts and final generator state are the reference
+        # sampler's exactly; its mean and standard error are those of the
+        # counts to 2**-52
         psis = [make_pure(a2, phi) for a2, phi in self.STATES]
-        batched_rngs = [np.random.default_rng(40 + k) for k in range(len(psis))]
-        means, stderrs = mc_estimates(np.stack([psi.vector for psi in psis]), p_bit, p_ph,
-                                      trials, iter(batched_rngs))
+        vectors = np.stack([psi.vector for psi in psis])
+        count_rngs = [np.random.default_rng(40 + k) for k in range(len(psis))]
+        overlaps, counts = branch_counts(vectors, p_bit, p_ph, trials, iter(count_rngs))
+        means, stderrs = mc_estimates(vectors, p_bit, p_ph, trials,
+                                      (np.random.default_rng(40 + k) for k in range(len(psis))))
         for k, psi in enumerate(psis):
-            single_rng, reference_rng = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
-            (mean,), (stderr,) = mc_estimates(psi.vector[None], p_bit, p_ph, trials,
-                                              (single_rng,))
-            assert (means[k], stderrs[k]) == (mean, stderr)
-            assert (mean, stderr) == _reference_mc(psi, p_bit, p_ph, trials, reference_rng)
-            state = reference_rng.bit_generator.state
-            assert single_rng.bit_generator.state == state
-            assert batched_rngs[k].bit_generator.state == state
+            reference_rng = np.random.default_rng(40 + k)
+            reference_overlaps, reference_counts = _reference_mc(psi, p_bit, p_ph, trials,
+                                                                 reference_rng)
+            np.testing.assert_array_equal(overlaps[k], reference_overlaps)
+            np.testing.assert_array_equal(counts[k], reference_counts)
+            assert count_rngs[k].bit_generator.state == reference_rng.bit_generator.state
+            mean, stderr = exact_estimates(overlaps[k], counts[k])
+            assert abs(Fraction(means[k]) - mean) <= 2 ** -52
+            assert abs(Fraction(stderrs[k]) - stderr) <= 2 ** -52
 
     @pytest.mark.parametrize("trials", [1, 2000, 10_000])
     def test_shared_generator_matches_one_call_at_a_time(self, trials):
@@ -706,6 +740,13 @@ class TestMcEstimates:
         for trials in (2.5, True, 100.0, "10"):
             with pytest.raises(ValueError, match="trials must be an integer"):
                 mc_estimates(KET0.vector[None], 0.0, 0.0, trials, [rng])
+        # beyond 2**53 a branch count is not exact as a double; 2**53 itself
+        # passes the checks at the call, and nothing is drawn without next()
+        for trials in (2**53 + 1, 10**20):
+            for sampler in (sample_branches, branch_counts, mc_estimates):
+                with pytest.raises(ValueError, match=r"trials must be at most 2\*\*53"):
+                    sampler(KET0.vector[None], 0.0, 0.0, trials, [rng])
+        sample_branches(KET0.vector[None], 0.0, 0.0, 2**53, [rng])
         # [[1e200, 0]] is finite, but its square overflows
         for vectors in (KET0.vector, np.ones((1, 3)), np.zeros((1, 2)), [[1.0, 1.0]],
                         [[np.nan, 0.0]], [[1e200, 0.0]]):
@@ -824,3 +865,85 @@ class TestSamplerBlocks:
             rngs = (np.random.default_rng(k) for k in range(count))
             with pytest.raises(ValueError):
                 list(sampler(self.VECTORS, 0.3, 0.0, 1000, rngs))
+
+
+class TestBranchCounts:
+    """Each state's runs reduced to 64 branch counts, in memory that does
+    not grow with the trial count."""
+
+    VECTORS = TestSamplerBlocks.VECTORS
+
+    @pytest.mark.parametrize("trials", [1, 2000, protocol._BLOCK_DRAWS + 1])
+    def test_counts_are_the_bincount_of_the_sampled_branches(self, trials):
+        overlaps, counts = branch_counts(self.VECTORS, 0.3, 0.0, trials,
+                                         (np.random.default_rng(k) for k in range(41)))
+        assert counts.dtype == np.int64 and counts.shape == overlaps.shape == (41, 64)
+        assert (counts.sum(axis=1) == trials).all()
+        drawn = sample_branches(self.VECTORS, 0.3, 0.0, trials,
+                                (np.random.default_rng(k) for k in range(41)))
+        for k, (row, branches) in enumerate(drawn):
+            np.testing.assert_array_equal(overlaps[k], row)
+            np.testing.assert_array_equal(counts[k], np.bincount(branches, minlength=64))
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a million runs held as one sample would take about 57 MB
+        protocol._branch_bank()
+        tracemalloc.start()
+        try:
+            mc_estimates(KET0.vector[None], 0.1, 0.2, 10**6, (np.random.default_rng(0),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    # 2000 runs are one block by default and chunks of 3 or 1000 runs here
+    @pytest.mark.parametrize("block_draws", [3, 1000])
+    @pytest.mark.parametrize("stack", ["one state", "five states", "one shared generator"])
+    def test_chunked_draws_match_the_default(self, monkeypatch, block_draws, stack):
+        vectors = self.VECTORS[:1] if stack == "one state" else self.VECTORS[:5]
+
+        def run():
+            if stack == "one shared generator":
+                count_rngs = (np.random.default_rng(9),) * 5
+                mc_rngs = (np.random.default_rng(9),) * 5
+            else:
+                count_rngs = [np.random.default_rng(9 + k) for k in range(len(vectors))]
+                mc_rngs = [np.random.default_rng(9 + k) for k in range(len(vectors))]
+            overlaps, counts = branch_counts(vectors, 0.3, 0.6, 2000, count_rngs)
+            means, stderrs = mc_estimates(vectors, 0.3, 0.6, 2000, mc_rngs)
+            finals = [rng.bit_generator.state for rng in (*count_rngs, *mc_rngs)]
+            return overlaps, counts, means, stderrs, finals
+
+        expected = run()
+        monkeypatch.setattr(protocol, "_BLOCK_DRAWS", block_draws)
+        actual = run()
+        for a, b in zip(actual[:4], expected[:4]):
+            np.testing.assert_array_equal(a, b)
+        assert actual[4] == expected[4]
+
+    # the float32 draw leaves half of a 64-bit draw buffered, which three
+    # random(trials) calls keep
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_chunks_match_three_calls(self, bit_generator):
+        psi = make_pure(0.3, 2.0)
+        rng, reference_rng = (np.random.Generator(bit_generator(3)) for _ in range(2))
+        for g in (rng, reference_rng):
+            g.random(dtype=np.float32)
+        _, counts = branch_counts(psi.vector[None], 0.3, 0.6, 10_007, (rng,))
+        reference = _reference_mc(psi, 0.3, 0.6, 10_007, reference_rng)
+        np.testing.assert_array_equal(counts[0], reference[1])
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    # MT19937 and SFC64 have no advance, and Philox's steps four draws at a
+    # time, so chunks could not continue their streams; not even a single
+    # block draws from them, so the result never depends on the trial count
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    @pytest.mark.parametrize("trials", [10, protocol._BLOCK_DRAWS + 1])
+    def test_other_bit_generators_are_rejected(self, bit_generator, trials):
+        for sampler in (sample_branches, branch_counts, mc_estimates):
+            rng = np.random.Generator(bit_generator(0))
+            with pytest.raises(ValueError, match="rngs"):
+                list(sampler(KET0.vector[None], 0.1, 0.2, trials, (rng,)))
+            # nothing was drawn
+            assert rng.random() == np.random.Generator(bit_generator(0)).random()
