@@ -10,15 +10,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
-from contextlib import nullcontext, suppress
+import threading
+from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
 from . import protocol
-from .core import _check_count, _check_positive, _check_probability, make_pure, state_vector
+from .core import (
+    _check_count,
+    _check_finite,
+    _check_positive,
+    _check_probability,
+    make_pure,
+    state_vector,
+)
 from .verify import run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
@@ -33,6 +40,12 @@ _CELL_WIDTH = 19
 # at least this far from the nearest integer, is a near-tie, left to
 # Python's own formatting (see _format_cells).
 _TIE_MARGIN = 0.5 - 2.0 ** -12
+# An mc sweep whose Monte Carlo work, in trials, is below _FORK_TRIALS
+# stays in one process: forking and hearing from a worker costs about as
+# much. A point's own cost (its generator, its share of the branch tables)
+# counts as _POINT_TRIALS trials beside its --trials.
+_FORK_TRIALS = 2 ** 18
+_POINT_TRIALS = 2 ** 10
 
 
 def _fmt(x: float) -> str:
@@ -138,13 +151,6 @@ def _block_text(alpha_chars, phi_chars, cols: list[np.ndarray]) -> str:
     return table[table != ord(" ")].tobytes().decode("ascii")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
-    return value
-
-
 def _checked(convert, check, *args):
     """An argparse type: ``convert`` the text, then apply the library's rule
     ``check(value, *args)``, whose ValueError text becomes the usage error.
@@ -198,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte Carlo run at one state, checked against the exact value")
     mc.add_argument("--alpha2", type=_checked(float, _check_probability, "alpha2"),
                     default=1.0, help="population of |0>")
-    mc.add_argument("--phi", type=_finite_float, default=0.0, help="relative phase in radians")
+    mc.add_argument("--phi", type=_checked(float, _check_finite, "phi"), default=0.0,
+                    help="relative phase in radians")
     mc.add_argument("--pbit", type=p_bit, default=0.0, help="bit-flip probability")
     mc.add_argument("--pph", type=p_ph, default=0.0, help="phase-flip probability")
     mc.add_argument("--trials", type=trials, default=100_000, help="number of trajectories")
@@ -206,12 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list[np.ndarray]:
+def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray,
+                   mc_estimates) -> list[np.ndarray]:
     """Value columns after alpha2,phi for a block of rows starting at ``first_row``.
 
     Each column has shape (rows in the block, n_phi). The first one is
     the mode's evaluator, the column the ``# average=`` line averages
-    except in mc mode, where it is the third (``f_mc``).
+    except in mc mode, where it is the third (``f_mc``), from
+    ``mc_estimates(first_row, vectors)`` (see ``_mc_pool``).
     """
     if args.mode == "baseline":
         baseline = protocol.baseline_fidelity_plane(aa, pp)
@@ -224,11 +233,150 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray) -> list
     exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
     if args.mode == "exact":
         return [exact, analytic]
-    rngs = (np.random.default_rng(np.random.SeedSequence((args.seed, first_row + di, j)))
-            for di in range(aa.shape[0]) for j in range(pp.shape[1]))
-    means, stderrs = protocol.mc_estimates(state_vector(aa, pp).reshape(-1, 2),
-                                           args.pbit, args.pph, args.trials, rngs)
+    means, stderrs = mc_estimates(first_row, state_vector(aa, pp).reshape(-1, 2))
     return [exact, analytic, means.reshape(exact.shape), stderrs.reshape(exact.shape)]
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mc_processes(args) -> int:
+    """How many processes share an mc sweep's Monte Carlo work: one per CPU,
+    but no more than a block has points, and just one where ``os.fork`` is
+    missing, another thread is alive or the work is below _FORK_TRIALS."""
+    points = args.grid_alpha * args.grid_phi
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or points * (args.trials + _POINT_TRIALS) < _FORK_TRIALS):
+        return 1
+    return min(_cpus(), min(_BLOCK_ROWS, args.grid_alpha) * args.grid_phi)
+
+
+def _fork(work, inherited: list[int]) -> tuple[int, int] | None:
+    """Fork a worker that runs ``work(fd)``, fd the write end of a new pipe,
+    and then ends in ``os._exit``, whatever ``work`` does: it never returns
+    here, flushes this process's buffers or writes its output. It first
+    closes ``inherited``, the read ends of earlier workers. Returns the
+    worker's pid and the pipe's read end, or None if no worker could start.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            work(write_fd)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive(fd: int, size: int) -> bytes | None:
+    """Exactly ``size`` bytes from the pipe ``fd``, or None if it ends first."""
+    chunks = []
+    while size:
+        try:
+            chunk = os.read(fd, size)
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _stop(pid: int) -> None:
+    import signal    # only a worker that failed, or a sweep that did, is stopped
+
+    with suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+
+
+@contextmanager
+def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
+    """Yield ``mc_estimates(first_row, vectors)``: the Monte Carlo means and
+    standard errors of the states ``vectors`` of the block of rows from
+    ``first_row``, where point (i, j) draws from ``SeedSequence((seed, i, j))``.
+
+    A block's states, in row-major order, are split into contiguous
+    shares, one per process (``_mc_processes``). Worker k, forked here,
+    computes share k of every block in turn and sends its means and
+    standard errors through its own pipe as raw float64 bytes; the caller
+    computes share 0. A state's estimate does not depend on the states that
+    share its ``protocol.mc_estimates`` call, so the values do not depend on
+    the number of processes. The share of a worker that could not start,
+    died or sent too few bytes is computed by the caller, and no later
+    share is asked of it. Every worker is reaped on the way out, after it is
+    killed if the sweep failed.
+    """
+    processes = _mc_processes(args)
+    n_phi = len(phis)
+    # numpy.random is imported on first use: once here, not in each worker
+    default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
+
+    def bounds(k, states):
+        return k * states // processes, (k + 1) * states // processes
+
+    def share(k, first_row, vectors):
+        lo, hi = bounds(k, len(vectors))
+        rngs = (default_rng(seed_sequence((args.seed, first_row + s // n_phi, s % n_phi)))
+                for s in range(lo, hi))
+        return protocol.mc_estimates(vectors[lo:hi], args.pbit, args.pph, args.trials, rngs)
+
+    def work(k, fd):
+        for lo in range(0, len(alpha2s), _BLOCK_ROWS):
+            vectors = state_vector(alpha2s[lo:lo + _BLOCK_ROWS, None], phis[None, :])
+            data = memoryview(np.concatenate(share(k, lo, vectors.reshape(-1, 2))))
+            while data:
+                data = data[os.write(fd, data):]
+
+    def mc_estimates(first_row, vectors):
+        shares = [share(0, first_row, vectors)]
+        for k in range(1, processes):
+            lo, hi = bounds(k, len(vectors))
+            data = _receive(workers[k][1], 16 * (hi - lo)) if k in workers else None
+            if data is None:
+                if k in workers:
+                    pid, fd = workers.pop(k)
+                    os.close(fd)
+                    _stop(pid)
+                shares.append(share(k, first_row, vectors))
+            else:
+                shares.append(np.frombuffer(data).reshape(2, hi - lo))
+        return np.concatenate(shares, axis=1)
+
+    workers, pids = {}, []
+    try:
+        for k in range(1, processes):
+            worker = _fork(functools.partial(work, k), [fd for _, fd in workers.values()])
+            if worker is not None:
+                workers[k] = worker
+                pids.append(worker[0])
+        yield mc_estimates
+    except BaseException:
+        for pid, _ in workers.values():
+            _stop(pid)
+        raise
+    finally:
+        for _, fd in workers.values():
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _write_sweep(args, fh) -> None:
@@ -246,11 +394,12 @@ def _write_sweep(args, fh) -> None:
     # the averaged column's row means: grid_average of these (n_alpha, 1)
     # means is, bit for bit, grid_average of the whole column
     row_means = np.empty((len(alpha2s), 1))
-    for lo in range(0, len(alpha2s), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        cols = _block_columns(args, lo, alpha2s[rows, None], phis[None, :])
-        cols[2 if args.mode == "mc" else 0].mean(axis=1, out=row_means[rows, 0])
-        fh.write(_block_text(alpha_chars[rows], phi_chars, cols))
+    with _mc_pool(args, alpha2s, phis) if args.mode == "mc" else nullcontext() as mc_estimates:
+        for lo in range(0, len(alpha2s), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            cols = _block_columns(args, lo, alpha2s[rows, None], phis[None, :], mc_estimates)
+            cols[2 if args.mode == "mc" else 0].mean(axis=1, out=row_means[rows, 0])
+            fh.write(_block_text(alpha_chars[rows], phi_chars, cols))
     average = protocol.grid_average(row_means)
     fh.write(f"# average={_fmt(average)}\n")
 

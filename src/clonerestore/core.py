@@ -114,17 +114,34 @@ def make_pure(alpha2: float, phi: float) -> PureQubit:
     return PureQubit(np.sqrt(alpha2), np.sqrt(1.0 - alpha2), phi)
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array, by ``_check_real``'s rule entry by entry: an int
+    beyond the double range becomes +-inf. ValueError naming ``name`` for
+    bool, string, complex and other arrays whose entries are not real
+    numbers, and for an object array holding anything else, such as None."""
+    a = np.asarray(x)
+    if a.dtype == np.float64:    # the common case, and the fastest test
+        return a
+    if a.dtype.kind == "O":
+        return np.array([_check_real(v, name) for v in a.flat], dtype=float).reshape(a.shape)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got an array of {a.dtype}")
+    with np.errstate(over="ignore"):    # a long double beyond the double range
+        return a.astype(float)
+
+
 def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
     """Validate state-plane coordinates; returns them as float arrays.
 
-    Every alpha2 must lie in [0, 1] and every phi must be finite; NaN
-    fails both tests. Raises ValueError otherwise. phi comes back reduced
-    by ``PureQubit``'s rule: into [0, 2*pi), with a result of 2*pi made 0.
+    Both are real arrays by ``_real_array``'s rule. Every alpha2 must lie
+    in [0, 1] and every phi must be finite; NaN fails both tests. Raises
+    ValueError naming the argument otherwise. phi comes back reduced by
+    ``PureQubit``'s rule: into [0, 2*pi), with a result of 2*pi made 0.
     """
-    alpha2 = np.asarray(alpha2, dtype=float)
+    alpha2 = _real_array(alpha2, "alpha2")
     if not np.all((alpha2 >= 0.0) & (alpha2 <= 1.0)):
         raise ValueError("alpha2 must lie in [0, 1]")
-    phi = np.asarray(phi, dtype=float)
+    phi = _real_array(phi, "phi")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
     phi = np.remainder(phi, TWO_PI)

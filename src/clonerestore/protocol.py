@@ -32,6 +32,7 @@ from .core import (
     _form_numerators,
     _form_values,
     _read_only,
+    _real_array,
     error_probabilities,
 )
 from .linalg import dagger
@@ -208,12 +209,14 @@ def phi_grid(n_phi: int) -> np.ndarray:
 def grid_average(values: np.ndarray) -> float:
     """Average an (alpha2, phi) grid: trapezoid weights over rows, uniform over columns.
 
-    Raises ValueError unless values is 2-D with at least 2 alpha2 rows
-    and 1 phi column.
+    Raises ValueError unless values is a 2-D grid of at least 2 alpha2
+    rows and 1 phi column of finite real numbers (``core._real_array``'s rule).
     """
-    values = np.asarray(values, dtype=float)
+    values = _real_array(values, "values")
     if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 1:
         raise ValueError("values must be a 2-D grid of at least 2 alpha2 rows and 1 phi column")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     w = np.ones(len(values))
     w[0] = w[-1] = 0.5
     return float(w @ values.mean(axis=1) / (len(values) - 1))

@@ -7,6 +7,7 @@ import os
 import shlex
 import signal
 import subprocess
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -133,7 +134,7 @@ _EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
 
 # Whole-output sha256 digests, so a refactor that keeps every number but
 # moves a byte shows up here. analytic and mixed agree with exact on this grid.
-@pytest.mark.parametrize("argv, digest", [
+GOLDEN = [
     (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "exact",
       "--pbit", "0.3", "--pph", "0.6", "--out", "-"], _EXACT_11x9),
     (["sweep", "--grid-alpha", "11", "--grid-phi", "9", "--mode", "analytic",
@@ -165,9 +166,13 @@ _EXACT_11x9 = "2c23ece7f1974d5edbfbc9f20defc89cae4771d6807cd90f6229e88b49217022"
     (["sweep", "--grid-alpha", "3", "--grid-phi", "41", "--mode", "mc", "--trials", "1000",
       "--seed", "11", "--pbit", "0.3", "--pph", "0.6", "--out", "-"],
      "5cc66f9a1c88d3738c3f12c53cae341a260bf9492b6d09ff51e5ce2e512cbf70"),
-], ids=["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc",
-        "sweep-mc-two-trials", "sweep-mc-certain-errors", "mc-pole-bit-flip",
-        "sweep-mc-sampler-blocks"])
+]
+GOLDEN_IDS = ["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", "sweep-mc", "mc",
+              "sweep-mc-two-trials", "sweep-mc-certain-errors", "mc-pole-bit-flip",
+              "sweep-mc-sampler-blocks"]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_bytes(argv, digest):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
@@ -239,6 +244,25 @@ class TestSweep:
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
         proc = run_python("-c", script, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+    def test_commands_load_no_process_module(self, run_python):
+        # the mc sweep forks its workers with os alone: every command's
+        # start-up stays free of multiprocessing, concurrent.futures and
+        # subprocess
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from clonerestore import cli\n"
+            "cli._cpus, cli._FORK_TRIALS = (lambda: 2), 0\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "for argv in [['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2',"
+            " '--trials', '2'] for mode in cli._MODES] + [['mc', '--trials', '100']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures', 'subprocess'}"
+            " & set(sys.modules)))\n")
+        proc = run_python("-c", script, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 []\n")
 
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
@@ -419,6 +443,185 @@ class TestSweep:
         assert "grid-alpha" in err
 
 
+MC_GOLDEN = [pytest.param(argv, digest, id=name) for name, (argv, digest) in zip(GOLDEN_IDS, GOLDEN)
+             if argv[0] == "sweep" and "mc" in argv]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """Force the mc sweep's process count: ``processes(n)`` makes the CPU
+    count n and lets any sweep fork. Returns the pids of the workers forked."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def force(n):
+        monkeypatch.setattr(cli, "_cpus", lambda: n)
+        monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
+        return forks
+    return force
+
+
+class TestMcWorkers:
+    """The mc sweep shares each block's states with forked workers; the bytes,
+    the exit code and the processes left do not depend on them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("argv, digest", MC_GOLDEN)
+    def test_golden_bytes_at_any_process_count(self, processes, argv, digest, n):
+        forks = processes(n)
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+        args = cli.build_parser().parse_args(argv)
+        assert len(forks) == min(n, min(cli._BLOCK_ROWS, args.grid_alpha) * args.grid_phi) - 1
+        assert_no_child_left()
+
+    # one block; fewer states in a block than processes; a partial last
+    # block, whose shares are partly empty
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n_alpha, n_phi, extra", [
+        (2, 9, dict(pbit=0.2, pph=0.7, trials=50, seed=4)),
+        (2, 1, dict(trials=300, seed=1)),
+        (6, 1, dict(pbit=0.5, trials=40, seed=2)),
+        (9, 5, dict(pph=0.3, trials=20, seed=8)),
+    ], ids=["one-block", "two-states", "partial-block-of-two", "partial-block-of-five"])
+    def test_bytes_do_not_depend_on_process_count(self, processes, n, n_alpha, n_phi, extra):
+        forks = processes(n)
+        argv = ["sweep", "--mode", "mc", "--grid-alpha", str(n_alpha), "--grid-phi", str(n_phi)]
+        for key, value in extra.items():
+            argv += [f"--{key}", str(value)]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == expected_sweep("mc", n_alpha, n_phi, **extra)
+        assert len(forks) == min(n, min(cli._BLOCK_ROWS, n_alpha) * n_phi) - 1
+        assert_no_child_left()
+
+    ARGV = ["sweep", "--mode", "mc", "--grid-alpha", "11", "--grid-phi", "7", "--trials", "300",
+            "--seed", "5", "--pbit", "0.3", "--pph", "0.6"]
+
+    def test_failed_worker_leaves_the_bytes(self, processes, monkeypatch):
+        # every worker raises: the parent computes their shares itself
+        _, expected, _ = run_cli(self.ARGV)
+        parent = os.getpid()
+        estimates = protocol.mc_estimates
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return estimates(*args)
+
+        monkeypatch.setattr(protocol, "mc_estimates", fail_in_worker)
+        forks = processes(3)
+        code, out, err = run_cli(self.ARGV)
+        assert (code, out, err) == (0, expected, "")
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_short_read_leaves_the_bytes(self, processes, monkeypatch):
+        # a worker sends part of its second share, then ends
+        _, expected, _ = run_cli(self.ARGV)
+        parent = os.getpid()
+        write, sent = os.write, []
+
+        def cut_write(fd, data):
+            if os.getpid() == parent:
+                return write(fd, data)
+            sent.append(None)
+            if len(sent) > 1:
+                write(fd, bytes(data)[:len(data) // 2 + 3])
+                os._exit(0)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", cut_write)
+        forks = processes(2)
+        code, out, err = run_cli(self.ARGV)
+        assert (code, out, err) == (0, expected, "")
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error, code", [
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 2),
+        (MemoryError(), 2),
+        (KeyboardInterrupt(), None),
+    ], ids=["no-space", "broken-pipe", "out-of-memory", "interrupt"])
+    def test_failed_sweep_reaps_its_workers(self, tmp_path, processes, monkeypatch, error, code):
+        # the mc copy of TestSweep.test_failed_write_leaves_no_old_tail
+        block_text = cli._block_text
+        blocks = []
+
+        def fail_after_one_block(*args):
+            blocks.append(None)
+            if len(blocks) > 1:
+                raise error
+            return block_text(*args)
+
+        _, expected, _ = run_cli(self.ARGV)
+        target = tmp_path / "sweep.csv"
+        target.write_bytes(expected.encode("ascii") * 2)
+        monkeypatch.setattr(cli, "_block_text", fail_after_one_block)
+        forks = processes(2)
+        argv = self.ARGV + ["--out", str(target)]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(argv)
+        else:
+            assert run_cli(argv)[:2] == (code, "")
+        assert len(forks) == 1
+        assert_no_child_left()
+        written = target.read_bytes()
+        assert b"# average=" not in written
+        assert expected.encode("ascii").startswith(written)
+
+    @pytest.mark.parametrize("case", ["one-cpu", "thread", "small"])
+    def test_forks_nothing(self, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("the sweep forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cli, "_cpus", lambda: 1 if case == "one-cpu" else 4)
+        if case != "small":
+            monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
+        argv = ["sweep", "--mode", "mc", "--grid-alpha", "5", "--grid-phi", "3", "--trials", "20"]
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        if case == "thread":
+            thread.start()
+        try:
+            code, out, err = run_cli(argv)
+        finally:
+            done.set()
+        if case == "thread":
+            thread.join(10)
+            assert not thread.is_alive()
+        assert (code, err) == (0, "")
+        assert out == expected_sweep("mc", 5, 3, trials=20)
+
+    def test_benchmark_sweep_forks(self, monkeypatch):
+        # the 51 x 51 sweep at 2000 trials is far above the crossover
+        args = cli.build_parser().parse_args(["sweep", "--mode", "mc", "--grid-alpha", "51",
+                                              "--grid-phi", "51", "--trials", "2000"])
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        assert cli._mc_processes(args) == 2
+        monkeypatch.setattr(cli, "_cpus", lambda: 64)
+        assert cli._mc_processes(args) == 64
+        args.grid_phi, args.trials = 1, 2
+        assert cli._mc_processes(args) == 1
+
+
 def readme_commands():
     """The arguments of every ``clonerestore ...`` line in README's fenced blocks."""
     commands, fenced = [], False
@@ -453,6 +656,7 @@ NUMERIC_FLAGS = {
     "--pph": ("mc", float, lambda p: core.error_probabilities(0.0, p)),
     "--alpha2": ("mc", float, lambda a: make_pure(a, 0.0)),
     "--tol": ("verify", float, lambda t: core._check_positive(t, "tol")),
+    "--phi": ("mc", float, lambda p: core._check_finite(p, "phi")),
 }
 flag_texts = st.one_of(
     st.integers().map(str),

@@ -251,6 +251,32 @@ class TestExactFidelity:
                 exact_fidelity(make_pure(a2, phi), 0.1, 0.6), abs=1e-12)
 
 
+PLANE_EVALUATORS = {
+    "exact_fidelity_plane": exact_fidelity_plane,
+    "mixed_input_fidelity_plane": mixed_input_fidelity_plane,
+    "baseline_fidelity_plane": baseline_fidelity_plane,
+    "analytic_fidelity": analytic_fidelity,
+    "state_vector": core.state_vector,
+    "reversed_fidelity_plane": reversed_fidelity_plane,
+}
+
+
+# one array rule (core._check_plane): no junk is coerced, warns or raises
+# anything but a ValueError naming its argument; 10**400 is +inf, out of range
+@pytest.mark.parametrize("junk", [None, "0.5", True, 0.5 + 0j, 10**400, np.nan, np.inf, -np.inf],
+                         ids=["None", "str", "bool", "complex", "10**400", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [*PLANE_EVALUATORS, "grid_average"])
+def test_plane_arguments_follow_one_rule(name, junk):
+    if name == "grid_average":
+        calls = [("values", lambda: grid_average([[junk], [junk]]))]
+    else:
+        f = PLANE_EVALUATORS[name]
+        calls = [("alpha2", lambda: f(junk, 0.0)), ("phi", lambda: f(0.5, junk))]
+    for argument, call in calls:
+        with pytest.raises(ValueError, match=f"^{argument} "):
+            call()
+
+
 class TestAnalyticFidelity:
     @pytest.mark.parametrize("alpha2,phi,expected", [
         (1.0, 0.0, 5 / 9),
