@@ -12,12 +12,11 @@ import argparse
 import functools
 import os
 import sys
-import threading
 from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
-from . import protocol
+from . import protocol, verify
 from .core import (
     _check_count,
     _check_finite,
@@ -26,7 +25,7 @@ from .core import (
     make_pure,
     state_vector,
 )
-from .verify import run_checks
+from .verify import VerifyReport, run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
 # alpha^2 rows evaluated, formatted and written at a time. It bounds the
@@ -237,74 +236,16 @@ def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray,
     return [exact, analytic, means.reshape(exact.shape), stderrs.reshape(exact.shape)]
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _mc_processes(args) -> int:
-    """How many processes share an mc sweep's Monte Carlo work: one per CPU,
-    but no more than a block has points, and just one where ``os.fork`` is
-    missing, another thread is alive or the work is below _FORK_TRIALS."""
+    """How many processes share an mc sweep's Monte Carlo work: one per CPU
+    (``_pool.processes``), but no more than a block has points, and just one
+    where the work is below _FORK_TRIALS."""
+    from . import _pool
+
     points = args.grid_alpha * args.grid_phi
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or points * (args.trials + _POINT_TRIALS) < _FORK_TRIALS):
+    if points * (args.trials + _POINT_TRIALS) < _FORK_TRIALS:
         return 1
-    return min(_cpus(), min(_BLOCK_ROWS, args.grid_alpha) * args.grid_phi)
-
-
-def _fork(work, inherited: list[int]) -> tuple[int, int] | None:
-    """Fork a worker that runs ``work(fd)``, fd the write end of a new pipe,
-    and then ends in ``os._exit``, whatever ``work`` does: it never returns
-    here, flushes this process's buffers or writes its output. It first
-    closes ``inherited``, the read ends of earlier workers. Returns the
-    worker's pid and the pipe's read end, or None if no worker could start.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            for fd in (read_fd, *inherited):
-                os.close(fd)
-            work(write_fd)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _receive(fd: int, size: int) -> bytes | None:
-    """Exactly ``size`` bytes from the pipe ``fd``, or None if it ends first."""
-    chunks = []
-    while size:
-        try:
-            chunk = os.read(fd, size)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _stop(pid: int) -> None:
-    import signal    # only a worker that failed, or a sweep that did, is stopped
-
-    with suppress(ProcessLookupError):
-        os.kill(pid, signal.SIGKILL)
+    return _pool.processes(min(_BLOCK_ROWS, args.grid_alpha) * args.grid_phi)
 
 
 @contextmanager
@@ -321,9 +262,10 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
     share its ``protocol.mc_estimates`` call, so the values do not depend on
     the number of processes. The share of a worker that could not start,
     died or sent too few bytes is computed by the caller, and no later
-    share is asked of it. Every worker is reaped on the way out, after it is
-    killed if the sweep failed.
+    share is asked of it (see ``_pool.workers``).
     """
+    from . import _pool
+
     processes = _mc_processes(args)
     n_phi = len(phis)
     # numpy.random is imported on first use: once here, not in each worker
@@ -341,42 +283,25 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
     def work(k, fd):
         for lo in range(0, len(alpha2s), _BLOCK_ROWS):
             vectors = state_vector(alpha2s[lo:lo + _BLOCK_ROWS, None], phis[None, :])
-            data = memoryview(np.concatenate(share(k, lo, vectors.reshape(-1, 2))))
-            while data:
-                data = data[os.write(fd, data):]
+            _pool.send(fd, np.concatenate(share(k, lo, vectors.reshape(-1, 2))))
 
     def mc_estimates(first_row, vectors):
         shares = [share(0, first_row, vectors)]
         for k in range(1, processes):
             lo, hi = bounds(k, len(vectors))
-            data = _receive(workers[k][1], 16 * (hi - lo)) if k in workers else None
+            data = _pool.receive(workers[k][1], 16 * (hi - lo)) if k in workers else None
             if data is None:
                 if k in workers:
                     pid, fd = workers.pop(k)
                     os.close(fd)
-                    _stop(pid)
+                    _pool.stop(pid)
                 shares.append(share(k, first_row, vectors))
             else:
                 shares.append(np.frombuffer(data).reshape(2, hi - lo))
         return np.concatenate(shares, axis=1)
 
-    workers, pids = {}, []
-    try:
-        for k in range(1, processes):
-            worker = _fork(functools.partial(work, k), [fd for _, fd in workers.values()])
-            if worker is not None:
-                workers[k] = worker
-                pids.append(worker[0])
+    with _pool.workers(processes - 1, work) as workers:
         yield mc_estimates
-    except BaseException:
-        for pid, _ in workers.values():
-            _stop(pid)
-        raise
-    finally:
-        for _, fd in workers.values():
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _write_sweep(args, fh) -> None:
@@ -411,8 +336,72 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _verify_report(args) -> VerifyReport:
+    """``run_checks(args.tol, args.seed)``, its checks shared by one process
+    per CPU, at most one per check (``_pool.processes``).
+
+    The check indices wait in one pipe, a byte each, written before the
+    workers are forked. Every process, this one too, reads one index at a
+    time and runs ``verify._run_check`` on it; a worker sends each result
+    back as a record of its index, deviation and seconds in raw bytes. A
+    check that no record reports, because a worker could not start, died
+    or sent a short record, is run here afterwards, in ``_CHECKS`` order,
+    so the report does not depend on the workers. A check that raises here
+    stops this process taking more; its exception is raised after the
+    unreported checks before it have run, so it is the one a single process
+    would meet first.
+    """
+    import struct
+
+    from . import _pool
+
+    checks = len(verify._CHECKS)
+    processes = _pool.processes(checks)
+    if processes == 1:
+        return run_checks(args.tol, args.seed)
+    verify._load_shared()
+    record = struct.Struct("=Bdd")
+
+    def take():
+        index = os.read(queue, 1)
+        return index[0] if index else None
+
+    def work(k, fd):
+        for index in iter(take, None):
+            result = verify._run_check(index, args.tol, args.seed)
+            _pool.send(fd, record.pack(index, result.deviation, result.seconds))
+
+    try:
+        queue, end = os.pipe()
+    except OSError:    # no descriptor left: no worker could start either
+        return run_checks(args.tol, args.seed)
+    os.write(end, bytes(range(checks)))    # far below a pipe's capacity
+    os.close(end)
+    results, failed = {}, None
+    try:
+        with _pool.workers(processes - 1, work) as workers:
+            for index in iter(take, None):
+                try:
+                    results[index] = verify._run_check(index, args.tol, args.seed)
+                except Exception as exc:
+                    failed = index, exc
+                    break
+            for _, fd in workers.values():
+                while (data := _pool.receive(fd, record.size)) is not None:
+                    index, deviation, seconds = record.unpack(data)
+                    results[index] = verify._result(index, args.tol, deviation, seconds)
+            for index in range(failed[0] if failed else checks):
+                if index not in results:
+                    results[index] = verify._run_check(index, args.tol, args.seed)
+            if failed:
+                raise failed[1]
+    finally:
+        os.close(queue)
+    return VerifyReport(tuple(results[index] for index in range(checks)))
+
+
 def cmd_verify(args) -> int:
-    report = run_checks(tol=args.tol, seed=args.seed)
+    report = _verify_report(args)
     for line in report.json_lines() if args.json else report.lines():
         print(line)
     return 0 if report.passed else 1

@@ -118,8 +118,10 @@ def _real_array(x, name: str) -> np.ndarray:
     """x as a float array, by ``_check_real``'s rule entry by entry: an int
     beyond the double range becomes +-inf. ValueError naming ``name`` for
     bool, string, complex and other arrays whose entries are not real
-    numbers, and for an object array holding anything else, such as None."""
-    a = np.asarray(x)
+    numbers, and for a list, tuple or object array holding anything else,
+    such as None or a bool beside floats. A list or tuple is read entry by
+    entry, since numpy would read [True, 0.5] as floats."""
+    a = np.asarray(x, dtype=object if isinstance(x, (list, tuple)) else None)
     if a.dtype == np.float64:    # the common case, and the fastest test
         return a
     if a.dtype.kind == "O":
@@ -173,12 +175,14 @@ def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
     sums are Python integers, so no product overflows.
     """
     _check_count(scale2, "scale2", 1)
+    # an int beyond the double range is inf, which math.sqrt cannot take
+    root = math.sqrt(_check_finite(scale2, "scale2"))
     rows = []
     for ops in (a_ops, b_ops):
         m = np.asarray(ops, dtype=complex)
         if m.ndim < 2 or m.shape[-2:] != (2, 2):
             raise ValueError("ops must have shape (..., 2, 2)")
-        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * math.sqrt(scale2)
+        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * root
         g = np.round(c)
         if not np.all(np.abs(c - g) <= 1e-9):
             raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -432,6 +433,42 @@ _CHECKS = (
 )
 
 
+def _result(index: int, tol: float | None, deviation: float, seconds: float) -> InvariantResult:
+    """The result of check ``index`` at the deviation it measured."""
+    name, _, default_tol, statistical = _CHECKS[index]
+    tolerance = default_tol if (statistical or tol is None) else tol
+    return InvariantResult(name, deviation, tolerance, deviation <= tolerance, statistical,
+                           seconds)
+
+
+def _run_check(index: int, tol: float | None, seed: int) -> InvariantResult:
+    """Run check ``index`` of ``_CHECKS`` on its own stream,
+    ``SeedSequence((seed, index))``; ``tol`` and ``seed`` as ``run_checks``
+    has checked them. A check that raises ValueError fails with deviation
+    inf; any other exception propagates."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    start = time.perf_counter()
+    try:
+        deviation = float(_CHECKS[index][1](rng))
+    except ValueError:
+        # e.g. a correction rule off the Pauli lattice has no exact form
+        deviation = float("inf")
+    return _result(index, tol, deviation, time.perf_counter() - start)
+
+
+def _load_shared() -> None:
+    """Import and build what several checks would each load on first use:
+    numpy.random, fractions (which loads decimal), the estimation elements
+    and the branch and form banks. Processes forked after this share them."""
+    import fractions  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    cloning.estimation_elements()
+    protocol._branch_bank()
+    with suppress(ValueError):    # a correction rule with no exact form
+        protocol._form_bank()
+
+
 def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
@@ -445,17 +482,4 @@ def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     if tol is not None:
         tol = core._check_positive(tol, "tol")
     core._check_count(seed, "seed", 0)
-    results = []
-    for name, fn, default_tol, statistical in _CHECKS:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, len(results))))
-        tolerance = default_tol if (statistical or tol is None) else tol
-        start = time.perf_counter()
-        try:
-            deviation = float(fn(rng))
-        except ValueError:
-            # e.g. a correction rule off the Pauli lattice has no exact form
-            deviation = float("inf")
-        seconds = time.perf_counter() - start
-        results.append(InvariantResult(name, deviation, tolerance, deviation <= tolerance,
-                                       statistical, seconds))
-    return VerifyReport(tuple(results))
+    return VerifyReport(tuple(_run_check(index, tol, seed) for index in range(len(_CHECKS))))

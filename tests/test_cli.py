@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import cli, core, protocol
+from clonerestore import _pool, cli, core, protocol, verify
 from clonerestore.cli import main
 from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
@@ -94,6 +96,14 @@ def cell_texts(values):
     texts = [bytes(row).decode("ascii").rstrip(" ") for row in chars]
     assert not any(" " in text for text in texts)
     return texts
+
+
+def average_lines(exact, ulps=8):
+    """The "# average=" lines of the doubles within ``ulps`` units in the
+    last place of ``exact``: grid_average's rounding, not a fixed text,
+    since a 12-digit rounding boundary may fall next to the value."""
+    x = float(exact)
+    return {f"# average={x + k * math.ulp(x):.12g}" for k in range(-ulps, ulps + 1)}
 
 
 class TestFormatCells:
@@ -246,23 +256,40 @@ class TestSweep:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
     def test_commands_load_no_process_module(self, run_python):
-        # the mc sweep forks its workers with os alone: every command's
-        # start-up stays free of multiprocessing, concurrent.futures and
-        # subprocess
+        # the mc sweep and verify fork their workers with os alone: every
+        # command's start-up stays free of multiprocessing,
+        # concurrent.futures and subprocess
         script = (
             "import contextlib, io, os, sys\n"
-            "from clonerestore import cli\n"
-            "cli._cpus, cli._FORK_TRIALS = (lambda: 2), 0\n"
+            "from clonerestore import _pool, cli\n"
+            "_pool.cpus, cli._FORK_TRIALS = (lambda: 2), 0\n"
             "fork, forks = os.fork, []\n"
             "os.fork = lambda: forks.append(None) or fork()\n"
             "for argv in [['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2',"
-            " '--trials', '2'] for mode in cli._MODES] + [['mc', '--trials', '100']]:\n"
+            " '--trials', '2'] for mode in cli._MODES] + [['mc', '--trials', '100'], ['verify']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        cli.main(argv)\n"
             "print(len(forks), sorted({'multiprocessing', 'concurrent.futures', 'subprocess'}"
             " & set(sys.modules)))\n")
         proc = run_python("-c", script, capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 []\n")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "2 []\n")
+
+    def test_only_forking_commands_import_the_pool(self, run_python):
+        # the worker module is compiled by an mc sweep and verify alone
+        script = (
+            "import contextlib, io, sys\n"
+            "from clonerestore import cli\n"
+            "for argv in [['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2']"
+            " for mode in ('exact', 'mixed', 'analytic', 'baseline')] + [['mc', '--trials', '100']]"
+            " + [sys.argv[1:]]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "    print('clonerestore._pool' in sys.modules)\n")
+        for argv in (["sweep", "--mode", "mc", "--grid-alpha", "2", "--grid-phi", "1",
+                      "--trials", "2"], ["verify"]):
+            proc = run_python("-c", script, *argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.split() == ["False"] * 5 + ["True"]
 
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
@@ -412,15 +439,34 @@ class TestSweep:
         code, out, _ = run_cli(["sweep", "--grid-alpha", "41", "--grid-phi", "41",
                                 "--mode", "exact", "--out", "-"])
         assert code == 0
-        _, _, average = parse_csv(out)
-        assert average == pytest.approx(16 / 27, abs=2e-3)
+        assert out.splitlines()[-1] in average_lines(Fraction(16, 27) - Fraction(1, 27 * 40 ** 2))
 
     def test_baseline_average(self):
         code, out, _ = run_cli(["sweep", "--mode", "baseline", "--grid-alpha", "201",
                                 "--grid-phi", "1", "--out", "-"])
         assert code == 0
-        _, _, average = parse_csv(out)
-        assert average == pytest.approx(2 / 3, abs=1e-3)
+        assert out.splitlines()[-1] in average_lines(Fraction(2, 3) + Fraction(1, 3 * 200 ** 2))
+
+    @given(mode=st.sampled_from(["exact", "mixed", "analytic", "baseline"]),
+           n_alpha=st.integers(2, 80), n_phi=st.integers(1, 80),
+           p_bit=st.floats(0.0, 1.0), p_ph=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_published_average_is_exact(self, mode, n_alpha, n_phi, p_bit, p_ph):
+        # with h = 1/(n_alpha - 1) the trapezoid rule gives 1/3 + h^2/6 for
+        # the integral of alpha^4 over [0, 1], and the uniform phi rule
+        # averages cos(phi)^2 to 1/2 on 3 or more points, to 1 on 1 or 2
+        h2 = Fraction(1, (n_alpha - 1) ** 2)
+        if mode == "baseline":
+            expected = Fraction(2, 3) + h2 / 3
+        elif n_phi >= 3:
+            expected = Fraction(16, 27) - h2 / 27
+        else:
+            expected = Fraction(2, 3) - h2 / 9
+        code, out, err = run_cli(["sweep", "--mode", mode, "--grid-alpha", str(n_alpha),
+                                  "--grid-phi", str(n_phi), "--pbit", repr(p_bit),
+                                  "--pph", repr(p_ph)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] in average_lines(expected)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--pbit", "1.5"],
@@ -454,8 +500,9 @@ def assert_no_child_left():
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Force the mc sweep's process count: ``processes(n)`` makes the CPU
-    count n and lets any sweep fork. Returns the pids of the workers forked."""
+    """Force the process count of an mc sweep and of verify: ``processes(n)``
+    makes the CPU count n and lets any mc sweep fork. Returns the pids of the
+    workers forked."""
     forks = []
     fork = os.fork
 
@@ -468,7 +515,7 @@ def processes(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
 
     def force(n):
-        monkeypatch.setattr(cli, "_cpus", lambda: n)
+        monkeypatch.setattr(_pool, "cpus", lambda: n)
         monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
         return forks
     return force
@@ -592,7 +639,7 @@ class TestMcWorkers:
             raise AssertionError("the sweep forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(cli, "_cpus", lambda: 1 if case == "one-cpu" else 4)
+        monkeypatch.setattr(_pool, "cpus", lambda: 1 if case == "one-cpu" else 4)
         if case != "small":
             monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
         argv = ["sweep", "--mode", "mc", "--grid-alpha", "5", "--grid-phi", "3", "--trials", "20"]
@@ -614,12 +661,220 @@ class TestMcWorkers:
         # the 51 x 51 sweep at 2000 trials is far above the crossover
         args = cli.build_parser().parse_args(["sweep", "--mode", "mc", "--grid-alpha", "51",
                                               "--grid-phi", "51", "--trials", "2000"])
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "cpus", lambda: 2)
         assert cli._mc_processes(args) == 2
-        monkeypatch.setattr(cli, "_cpus", lambda: 64)
+        monkeypatch.setattr(_pool, "cpus", lambda: 64)
         assert cli._mc_processes(args) == 64
         args.grid_phi, args.trials = 1, 2
         assert cli._mc_processes(args) == 1
+
+
+def verify_records(lines):
+    """verify's JSON lines as records without their seconds."""
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        assert record.pop("seconds") >= 0.0
+    return records
+
+
+def verify_reference(seed=0, tol=None):
+    """verify's exit code, text and JSON records without the seconds, from
+    run_checks' report, in one process."""
+    report = run_checks(tol=tol, seed=seed)
+    return (0 if report.passed else 1, "\n".join(report.lines()) + "\n",
+            verify_records(report.json_lines()))
+
+
+@functools.cache
+def unpatched_reference(seed):
+    return verify_reference(seed)
+
+
+def verify_outputs(monkeypatch, seed=0, tol=None):
+    """(exit code, text, JSON records without the seconds) of one verify
+    command; the records are those of the report it printed as text."""
+    reports = []
+    report = cli._verify_report
+
+    def recorded(args):
+        reports.append(report(args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "_verify_report", recorded)
+    argv = ["verify", "--seed", str(seed)] + ([] if tol is None else ["--tol", repr(tol)])
+    code, text, err = run_cli(argv)
+    monkeypatch.setattr(cli, "_verify_report", report)
+    assert err == ""
+    return code, text, verify_records(reports[0].json_lines())
+
+
+def replace_check(monkeypatch, index, fn):
+    """Make check ``index`` of verify run ``fn``."""
+    checks = list(verify._CHECKS)
+    checks[index] = (checks[index][0], fn, *checks[index][2:])
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+
+
+class TestVerifyWorkers:
+    """verify's checks are shared by forked workers through one queue; the
+    bytes, the exit code and the processes left do not depend on them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_bytes_do_not_depend_on_process_count(self, processes, monkeypatch, n):
+        forks = processes(n)
+        for seed in range(20):
+            assert verify_outputs(monkeypatch, seed) == unpatched_reference(seed)
+        assert len(forks) == 20 * (min(n, len(verify._CHECKS)) - 1)
+        # the JSON lines are the report's
+        code, out, err = run_cli(["verify", "--json"])
+        assert (code, verify_records(out.splitlines()), err) == (0, unpatched_reference(0)[2], "")
+        assert len(forks) == 21 * (min(n, len(verify._CHECKS)) - 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_tolerance_at_any_process_count(self, processes, monkeypatch, n):
+        processes(n)
+        assert verify_outputs(monkeypatch, 3, 1e-13) == verify_reference(3, 1e-13)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_negative_control_at_any_process_count(self, processes, monkeypatch, swapped_rule, n):
+        processes(n)
+        expected = verify_reference()
+        assert expected[0] == 1
+        assert expected[1].endswith("verify: 17/21 invariants passed\n")
+        assert verify_outputs(monkeypatch) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "exits", "half-record"])
+    def test_failed_worker_leaves_the_bytes(self, processes, monkeypatch, failure):
+        # each worker fails at its second check, after sending one record
+        # (half-record: while sending its second): the parent runs the
+        # checks that no record reports
+        parent, taken = os.getpid(), []
+        run, write = verify._run_check, os.write
+
+        def fail_in_worker(index, tol, seed):
+            if os.getpid() != parent:
+                taken.append(index)
+                if len(taken) > 1 and failure == "raises":
+                    raise RuntimeError("worker failure")
+                if len(taken) > 1 and failure == "exits":
+                    os._exit(0)
+            return run(index, tol, seed)
+
+        def cut_write(fd, data):
+            if os.getpid() != parent and len(taken) > 1:
+                write(fd, bytes(data)[:len(data) // 2])
+                os._exit(0)
+            return write(fd, data)
+
+        monkeypatch.setattr(verify, "_run_check", fail_in_worker)
+        if failure == "half-record":
+            monkeypatch.setattr(os, "write", cut_write)
+        forks = processes(3)
+        assert verify_outputs(monkeypatch, 5) == unpatched_reference(5)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["everywhere", "parent"])
+    @pytest.mark.parametrize("error", [MemoryError("check"), KeyboardInterrupt(),
+                                       RuntimeError("check")],
+                             ids=["out-of-memory", "interrupt", "error"])
+    def test_failed_check_reaps_the_workers(self, processes, monkeypatch, error, where):
+        # a check that raises ends the command as it does in one process,
+        # after every worker is reaped, killed first where it still runs:
+        # check 1 raises in every process, or the parent's first check raises
+        parent, calls = os.getpid(), []
+        run = verify._run_check
+
+        def fail(rng):
+            raise error
+
+        def fail_first_in_parent(index, tol, seed):
+            if os.getpid() == parent and not calls:
+                calls.append(index)
+                raise error
+            return run(index, tol, seed)
+
+        def outcome():
+            calls.clear()
+            try:
+                return run_cli(["verify", "--seed", "2"])
+            except BaseException as exc:
+                return exc
+
+        if where == "everywhere":
+            replace_check(monkeypatch, 1, fail)
+        else:
+            monkeypatch.setattr(verify, "_run_check", fail_first_in_parent)
+        processes(1)
+        expected = outcome()
+        forks = processes(3)
+        assert repr(outcome()) == repr(expected)
+        assert len(forks) == 2
+        assert_no_child_left()
+        if isinstance(error, MemoryError):
+            assert expected == (2, "", "verify: out of memory: check\n")
+
+    def test_first_failing_check_wins(self, processes, monkeypatch):
+        # check 1 raises everywhere and every later check in the parent: one
+        # process meets check 1 first, and so must the pool, whichever
+        # process took it
+        parent = os.getpid()
+        run = verify._run_check
+
+        def fail(index, tol, seed):
+            if index == 1:
+                raise RuntimeError("check 1")
+            if index > 1 and os.getpid() == parent:
+                raise MemoryError("a later check")
+            return run(index, tol, seed)
+
+        monkeypatch.setattr(verify, "_run_check", fail)
+        for n in (1, 2, 3, 7):
+            processes(n)
+            with pytest.raises(RuntimeError, match="check 1"):
+                run_cli(["verify"])
+            assert_no_child_left()
+
+    def test_closed_stdout_reaps_the_workers(self, processes):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        forks = processes(2)
+        err = io.StringIO()
+        with redirect_stdout(ClosedPipe()), redirect_stderr(err):
+            code = main(["verify"])
+        assert (code, err.getvalue()) == (2, f"verify: cannot write -: {BROKEN_PIPE}\n")
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one-cpu", "thread", "no-pipe"])
+    def test_forks_nothing(self, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("verify forked")
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_pool, "cpus", lambda: 1 if case == "one-cpu" else 4)
+        if case == "no-pipe":
+            monkeypatch.setattr(os, "pipe", no_pipe)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        if case == "thread":
+            thread.start()
+        try:
+            outputs = verify_outputs(monkeypatch, 1)
+        finally:
+            done.set()
+        if case == "thread":
+            thread.join(10)
+            assert not thread.is_alive()
+        assert outputs == unpatched_reference(1)
 
 
 def readme_commands():

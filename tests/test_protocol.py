@@ -262,13 +262,18 @@ PLANE_EVALUATORS = {
 
 
 # one array rule (core._check_plane): no junk is coerced, warns or raises
-# anything but a ValueError naming its argument; 10**400 is +inf, out of range
-@pytest.mark.parametrize("junk", [None, "0.5", True, 0.5 + 0j, 10**400, np.nan, np.inf, -np.inf],
-                         ids=["None", "str", "bool", "complex", "10**400", "nan", "inf", "-inf"])
+# anything but a ValueError naming its argument; 10**400 is +inf, out of
+# range; a list or tuple is read entry by entry, so a bool beside floats,
+# which numpy alone reads as 1.0, is refused
+@pytest.mark.parametrize("junk", [None, "0.5", True, 0.5 + 0j, 10**400, np.nan, np.inf, -np.inf,
+                                  [True, 0.5], (0.5, None), [[0.5], [False]]],
+                         ids=["None", "str", "bool", "complex", "10**400", "nan", "inf", "-inf",
+                              "bool-in-list", "None-in-tuple", "bool-in-nested-list"])
 @pytest.mark.parametrize("name", [*PLANE_EVALUATORS, "grid_average"])
 def test_plane_arguments_follow_one_rule(name, junk):
     if name == "grid_average":
-        calls = [("values", lambda: grid_average([[junk], [junk]]))]
+        calls = [("values", lambda: grid_average([[junk], [junk]])),
+                 ("values", lambda: grid_average([[0.5, junk], [0.5, junk]]))]
     else:
         f = PLANE_EVALUATORS[name]
         calls = [("alpha2", lambda: f(junk, 0.0)), ("phi", lambda: f(0.5, junk))]
@@ -449,8 +454,10 @@ class TestBlochForm:
         # numerators past int64: the sums are Python integers
         assert bloch_form(I2 * 2.0 ** 40, 1)[0, 0] == 2 ** 80
         assert bloch_form(I2, 2 ** 70)[0, 0] == 1
-        for scale2 in (0, -4, 1.0, True, "1"):
-            with pytest.raises(ValueError, match="scale2"):
+        assert bloch_form(I2, 2 ** 1022)[0, 0] == 1
+        # 10**400 and 2**1024 lie beyond the double range that math.sqrt takes
+        for scale2 in (0, -4, 1.0, True, "1", 10**400, 2**1024):
+            with pytest.raises(ValueError, match="^scale2 "):
                 bloch_form(I2, scale2)
         for ops in (np.ones(2), np.ones((3, 3)), np.ones((2, 2, 3))):
             with pytest.raises(ValueError, match="shape"):
