@@ -15,7 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import KrausChannel, PureQubit, _float_form, _form_values, _read_only, make_pure
+from .core import (
+    KrausChannel,
+    PureQubit,
+    _check_member,
+    _check_state,
+    _float_form,
+    _form_values,
+    _read_only,
+    make_pure,
+)
 from .linalg import ATOL, dagger, is_psd, is_unitary, nearest_unitary
 
 _C_MAJOR = np.sqrt(2.0 / 3.0)   # weight of the copied component
@@ -52,15 +61,21 @@ def uqcm_output(psi: PureQubit) -> np.ndarray:
 
     Basis order is big-endian |q1 q2 q3> with the signal first. Each of
     the two clones (qubits 1 and 2) has fidelity 5/6 with the input.
+    ValueError unless psi is a ``PureQubit``.
     """
-    a, b = psi.vector
-    out = np.zeros(8, dtype=complex)
-    out[0] = _C_MAJOR * a   # |000>
-    out[7] = _C_MAJOR * b   # |111>
-    out[3] = _C_MINOR * a   # |011>
-    out[5] = _C_MINOR * a   # |101>
-    out[2] = _C_MINOR * b   # |010>
-    out[4] = _C_MINOR * b   # |100>
+    return _clone_vectors(_check_state(psi).vector)
+
+
+def _clone_vectors(v: np.ndarray) -> np.ndarray:
+    """``uqcm_output`` of each amplitude vector of a (..., 2) stack, as (..., 8)."""
+    a, b = v[..., 0], v[..., 1]
+    out = np.zeros(v.shape[:-1] + (8,), dtype=complex)
+    out[..., 0] = _C_MAJOR * a   # |000>
+    out[..., 7] = _C_MAJOR * b   # |111>
+    out[..., 3] = _C_MINOR * a   # |011>
+    out[..., 5] = _C_MINOR * a   # |101>
+    out[..., 2] = _C_MINOR * b   # |010>
+    out[..., 4] = _C_MINOR * b   # |100>
     return out
 
 
@@ -139,20 +154,22 @@ def estimation_elements() -> EstimationChannel:
     constructed = elements_from_cloner()
     if np.max(np.abs(constructed - _ELEMENTS)) > ATOL:
         raise RuntimeError("closed-form elements disagree with the projective construction")
-    reversals = np.stack([nearest_unitary(e) for e in _ELEMENTS])
-    return EstimationChannel(_ELEMENTS, reversals)
+    return EstimationChannel(_ELEMENTS, nearest_unitary(_ELEMENTS))
 
 
 def outcome_probability(psi: PureQubit, outcome: Outcome) -> float:
-    """Probability <psi|E_i^dag E_i|psi> of one joint outcome."""
-    v = psi.vector
-    eff = estimation_elements().effects[outcome]
+    """Probability <psi|E_i^dag E_i|psi> of one joint outcome. ValueError
+    unless psi is a ``PureQubit`` and outcome an ``Outcome`` or an integer 0
+    to 3, as for every function here that takes a state or an outcome."""
+    v = _check_state(psi).vector
+    eff = estimation_elements().effects[_check_member(outcome, Outcome, "outcome")]
     return float(np.real(np.vdot(v, eff @ v)))
 
 
 def post_measurement_state(psi: PureQubit, outcome: Outcome) -> PureQubit:
     """Signal state after the estimation measurement, renormalized."""
-    w = estimation_elements().elements[outcome] @ psi.vector
+    w = estimation_elements().elements[_check_member(outcome, Outcome, "outcome")] \
+        @ _check_state(psi).vector
     return PureQubit.from_vector(w)
 
 
@@ -163,8 +180,8 @@ def reverse(state: PureQubit, outcome: Outcome) -> PureQubit:
     reversal after the measurement leaves sqrt(E_i^dag E_i) acting on
     the original state.
     """
-    u = estimation_elements().reversal_unitaries[outcome]
-    return PureQubit.from_vector(dagger(u) @ state.vector)
+    u = estimation_elements().reversal_unitaries[_check_member(outcome, Outcome, "outcome")]
+    return PureQubit.from_vector(dagger(u) @ _check_state(state, "state").vector)
 
 
 def _reversed_vector(psi: PureQubit, outcome: Outcome) -> np.ndarray:

@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import ATOL, _may_overflow, _nonfinite_error, _overflow_guard
+from .linalg import ATOL, _may_overflow, _nonfinite_error, _overflow_guard, dagger
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -221,37 +221,49 @@ def _check_rho(rho) -> np.ndarray:
     return rho
 
 
+def _overlaps(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<v|rho|v> over a stack of 2-vectors (..., 2) and one of 2x2 arrays
+    (..., 2, 2), as reals; ``fidelity`` is its one-element case. Raises
+    ValueError where one is not finite: only an entry above 1e150 can
+    overflow it."""
+    with _overflow_guard(np.abs(rho).max(initial=0.0)):
+        f = (v.conj()[..., None, :] @ (rho @ v[..., None]))[..., 0, 0].real
+    if not np.isfinite(f).all():
+        raise ValueError("fidelity overflows")
+    return f
+
+
 def fidelity(psi: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi|rho|psi> between a pure state and a density matrix.
 
-    Raises ValueError unless rho is a finite 2x2 array, or when the
-    overlap is not finite: only an entry above 1e150 can overflow it.
+    Raises ValueError unless psi is a ``PureQubit`` and rho a finite 2x2
+    array, or when the overlap is not finite: only an entry above 1e150
+    can overflow it.
     """
-    v = psi.vector
-    rho = _check_rho(rho)
-    with _overflow_guard(np.abs(rho).max()):
-        f = float(np.real(np.vdot(v, rho @ v)))
-    if not math.isfinite(f):
-        raise ValueError("fidelity overflows")
-    return f
+    return float(_overlaps(_check_state(psi).vector, _check_rho(rho)))
 
 
 def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     """Partial trace of a three-qubit pure state down to one qubit.
 
-    The state is an 8-vector indexed big-endian, index = 4 q1 + 2 q2 + q3.
+    The state is an 8-vector indexed big-endian, index = 4 q1 + 2 q2 + q3,
+    or a (..., 8) stack of them, reduced state by state to (..., 2, 2).
     ``keep``, an integer 1, 2, or 3, selects the surviving qubit. Raises
-    ValueError for an entry that is not finite or exceeds 1e150.
+    ValueError for another last axis than 8, or for an entry that is not
+    finite or exceeds 1e150.
     """
     _check_count(keep, "keep", 1)
     if keep > 3:
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
-    state = np.asarray(state, dtype=complex).reshape(8)
-    if _may_overflow(np.abs(state).max()):
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 0 or state.shape[-1] != 8:
+        raise ValueError(f"state must have shape (..., 8), got {state.shape}")
+    if _may_overflow(np.abs(state).max(initial=0.0)):
         raise ValueError("state entries must be finite and at most 1e150")
-    t = state.reshape(2, 2, 2)
-    others = [ax for ax in range(3) if ax != keep - 1]
-    return np.tensordot(t, t.conj(), axes=(others, others))
+    # rows: the kept qubit; columns: the other two, in order
+    t = np.moveaxis(state.reshape(state.shape[:-1] + (2, 2, 2)), keep - 4, -3)
+    m = t.reshape(t.shape[:-2] + (4,))
+    return m @ dagger(m)
 
 
 class ErrorType(IntEnum):
@@ -326,6 +338,25 @@ def _check_count(n: int, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {n}")
+
+
+def _check_state(psi, name: str = "psi") -> PureQubit:
+    """psi itself; ValueError naming ``name`` unless it is a ``PureQubit``."""
+    if not isinstance(psi, PureQubit):
+        raise ValueError(f"{name} must be a PureQubit, got {psi!r}")
+    return psi
+
+
+def _check_member(x, kind: type[IntEnum], name: str):
+    """x as a member of the IntEnum ``kind``, whose values are 0, 1, ...;
+    ValueError naming ``name`` unless x is a member or such a value, an
+    integer but not a bool."""
+    if isinstance(x, kind):
+        return x
+    if isinstance(x, bool) or not isinstance(x, Integral) or not 0 <= x < len(kind):
+        raise ValueError(f"{name} must be a {kind.__name__} or an integer 0 to "
+                         f"{len(kind) - 1}, got {x!r}")
+    return kind(int(x))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 Everything the protocol needs is exact at this size: Hilbert-Schmidt
 distance, the principal square root of a PSD matrix (Cayley-Hamilton),
 polar decomposition, and the nearest-unitary approximation given by the
-unitary polar factor. No iterative decompositions.
+unitary polar factor. No iterative decompositions. The square root,
+the polar decomposition and the determinant also take a (..., 2, 2)
+stack, with a single matrix the one-element case of the same code.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -40,23 +40,47 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def det2(a: np.ndarray) -> np.complex128:
-    """Determinant of a 2x2 matrix; ValueError when it is not finite. Python's
-    products have numpy's bits but never warn, so an overflow gets here."""
-    (a00, a01), (a10, a11) = a.tolist()
-    det = a00 * a11 - a01 * a10
-    if not cmath.isfinite(det):
+def _stack(a) -> np.ndarray:
+    """a as a complex array; ValueError unless it has shape (..., 2, 2)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (2, 2):
+        raise ValueError(f"matrix must have shape (..., 2, 2), got {a.shape}")
+    return a
+
+
+def det2(a: np.ndarray) -> np.complex128 | np.ndarray:
+    """Determinant of a 2x2 matrix, or of each matrix of a (..., 2, 2)
+    stack; ValueError where one is not finite. The products are written out
+    in real and imaginary parts, in the order Python's complex product takes
+    them: numpy's complex multiply fuses them and rounds differently."""
+    a = _stack(a)
+    (r00, r01), (r10, r11) = np.moveaxis(a.real, (-2, -1), (0, 1))
+    (i00, i01), (i10, i11) = np.moveaxis(a.imag, (-2, -1), (0, 1))
+    det = np.empty(a.shape[:-2], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det.real = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
+        det.imag = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)
+    if not np.isfinite(det).all():
         raise ValueError("determinant is not finite")
-    return np.complex128(det)
+    return det[()]
+
+
+def _modulus(z):
+    """|z| as abs() gives it for a numpy complex scalar; np.abs's vector
+    loop for complex arrays rounds differently."""
+    return np.hypot(z.real, z.imag)
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt distance: (Tr[(a-b)^dag (a-b)])^(1/2).
 
-    Raises ValueError for a non-finite entry, or when the squared norm of
-    a, b or a - b overflows; while those of a and b are finite, a - b is.
+    Raises ValueError unless a and b are 2x2, for a non-finite entry, or
+    when the squared norm of a, b or a - b overflows; while those of a and
+    b are finite, a - b is.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != (2, 2) or b.shape != (2, 2):
+        raise ValueError(f"a and b must be 2x2 matrices, got shapes {a.shape} and {b.shape}")
     _finite_norm2(a)
     _finite_norm2(b)
     return float(np.sqrt(_finite_norm2(a - b)))
@@ -105,58 +129,64 @@ def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:
     return ValueError(f"{what} must be finite")
 
 
-def _finite_norm2(a: np.ndarray) -> float:
-    """Squared Frobenius norm of a 2x2 matrix.
+def _finite_norm2(a: np.ndarray) -> float | np.ndarray:
+    """Squared Frobenius norm of a 2x2 matrix, or of each matrix of a stack.
 
     Raises ValueError for a non-finite entry or a norm that overflows.
     """
     m = np.abs(a)
-    with _overflow_guard(m.max()):
-        norm2 = np.sum(m ** 2)
-    if not math.isfinite(norm2):
+    with _overflow_guard(m.max(initial=0.0)):
+        norm2 = np.sum(m ** 2, axis=(-2, -1))
+    if not np.isfinite(norm2).all():
         raise _nonfinite_error(a, "matrix")
     return norm2
 
 
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD 2x2 matrix.
+    """Principal square root of a Hermitian PSD 2x2 matrix, or of each
+    matrix of a (..., 2, 2) stack.
 
     Uses sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
     valid for every PSD matrix except A = 0, which maps to 0. Raises
-    ValueError for a non-finite entry, a norm that overflows, or a
-    negative tr A + 2 sqrt(det A), which no PSD matrix has.
+    ValueError for a wrong shape, a non-finite entry, a norm that
+    overflows, or a negative tr A + 2 sqrt(det A), which no PSD matrix
+    has; a stack raises the error of a matrix that raises one alone.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _stack(a)
     _finite_norm2(a)
-    det = max(det2(a).real, 0.0)
-    tr = (a[0, 0] + a[1, 1]).real
-    s = np.sqrt(det)
-    if tr + 2.0 * s < 0.0:
+    det = det2(a).real
+    s = np.sqrt(np.where(0.0 > det, 0.0, det))    # max(det, 0.0), -0.0 kept
+    tr = (a[..., 0, 0] + a[..., 1, 1]).real
+    if np.any(tr + 2.0 * s < 0.0):
         raise ValueError("matrix is not PSD")
     denom = np.sqrt(tr + 2.0 * s)
-    if denom == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    return (a + s * IDENTITY) / denom
+    zero = denom == 0.0
+    root = (a + s[..., None, None] * IDENTITY) / np.where(zero, np.inf, denom)[..., None, None]
+    return np.where(zero[..., None, None], 0j, root)
 
 
 def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor e = u @ p with u unitary and p = sqrt(e^dag e) Hermitian PSD.
+    """Factor e = u @ p with u unitary and p = sqrt(e^dag e) Hermitian PSD;
+    a (..., 2, 2) stack is factored matrix by matrix.
 
-    Raises ValueError for (numerically) singular input: the unitary
-    factor is not unique there and the protocol never produces one; and
-    for a non-finite entry or a norm that overflows.
+    Raises ValueError for a wrong shape; for (numerically) singular input,
+    where the unitary factor is not unique and the protocol never produces
+    one; and for a non-finite entry or a norm that overflows. A stack
+    raises the error of a matrix that raises one alone.
     """
-    e = np.asarray(e, dtype=complex)
+    e = _stack(e)
     norm2 = _finite_norm2(e)
     det = det2(e)
-    if abs(det) <= ATOL:
+    mag = _modulus(det)
+    if np.any(mag <= ATOL):
         raise ValueError("degenerate input: polar decomposition requires an invertible matrix")
     # With singular values s1, s2: |det e| (e^-1)^dag = (det e/|det e|) adj(e)^dag,
     # e + |det e| (e^-1)^dag = (s1 + s2) u and (s1 + s2)^2 = |e|_F^2 + 2 |det e|.
     # Unlike e @ inv(p), nothing is inverted, so u stays unitary to
     # rounding when e is ill-conditioned.
-    adj_dag = np.array([[e[1, 1], -e[1, 0]], [-e[0, 1], e[0, 0]]]).conj()
-    u = (e + (det / abs(det)) * adj_dag) / np.sqrt(norm2 + 2.0 * abs(det))
+    adj_dag = np.stack([e[..., 1, 1], -e[..., 1, 0], -e[..., 0, 1], e[..., 0, 0]],
+                       axis=-1).reshape(e.shape).conj()
+    u = (e + (det / mag)[..., None, None] * adj_dag) / np.sqrt(norm2 + 2.0 * mag)[..., None, None]
     h = dagger(u) @ e
     return u, 0.5 * (h + dagger(h))
 
@@ -165,7 +195,8 @@ def nearest_unitary(e: np.ndarray) -> np.ndarray:
     """The unitary closest to e in Hilbert-Schmidt distance.
 
     This is the unitary factor of the polar decomposition, equal to the
-    product of the two unitaries in the singular value decomposition.
+    product of the two unitaries in the singular value decomposition;
+    a (..., 2, 2) stack as ``polar_decompose`` takes it.
     """
     u, _ = polar_decompose(e)
     return u
@@ -184,9 +215,25 @@ def haar_random_unitary(rng: np.random.Generator, size: int | None = None) -> np
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_invertible(rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian 2x2 matrix, resampled until |det| >= 0.05."""
-    while True:
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(det2(g)) >= 0.05:
-            return g
+def random_invertible(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Complex Gaussian 2x2 matrices, each resampled until |det| >= 0.05;
+    shape (2, 2), or (size, 2, 2) for an integer size >= 0.
+
+    The draws are those of ``size`` calls without it: a candidate takes 8
+    normals, its real then its imaginary parts, and each round draws only
+    as many candidates as are still wanted, so none is drawn past the last.
+    """
+    from .core import _check_count    # core imports this module
+
+    if size is not None:
+        _check_count(size, "size", 0)
+    kept = [np.empty((0, 2, 2), dtype=complex)]
+    wanted = 1 if size is None else size
+    while wanted:
+        g = rng.standard_normal((wanted, 2, 2, 2))
+        g = g[:, 0] + 1j * g[:, 1]
+        g = g[_modulus(det2(g)) >= 0.05]
+        kept.append(g)
+        wanted -= len(g)
+    out = np.concatenate(kept)
+    return out[0] if size is None else out

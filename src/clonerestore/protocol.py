@@ -25,9 +25,11 @@ from .core import (
     PureQubit,
     _check_count,
     _check_finite,
+    _check_member,
     _check_plane,
     _check_positive,
     _check_real,
+    _check_state,
     _float_form,
     _form_numerators,
     _form_values,
@@ -44,8 +46,11 @@ def correction_unitary(alice: Outcome, bob: Outcome) -> np.ndarray:
     Disagreement in the third-qubit bit contributes sigma_x, in the
     second-qubit sign sigma_z, both together their product, agreement
     the identity. Every protocol route looks this function up as a
-    module global, so it alone decides the correction.
+    module global, so it alone decides the correction. Each outcome is an
+    ``Outcome`` or an integer 0 to 3, else ValueError.
     """
+    alice = _check_member(alice, Outcome, "alice")
+    bob = _check_member(bob, Outcome, "bob")
     bit_differs = alice.bit != bob.bit
     sign_differs = alice.sign != bob.sign
     return _ERROR_OPERATORS[ErrorType(int(bit_differs) + 2 * int(sign_differs))]
@@ -73,8 +78,12 @@ def branch_statistics(psi: PureQubit, alice: Outcome, error: ErrorType,
     state is measured, reversed, hit by the error, then measured and
     reversed on the receiver side with the comparison correction
     applied last. Returns (P(bob | alice, error), corrected state).
+    ValueError unless psi is a ``PureQubit``, the outcomes are ``Outcome``
+    members and the error an ``ErrorType`` member, or the integers 0 to 3.
     """
-    w = error.operator @ _reversed_vector(psi, alice)
+    alice, bob = _check_member(alice, Outcome, "alice"), _check_member(bob, Outcome, "bob")
+    error = _check_member(error, ErrorType, "error")
+    w = error.operator @ _reversed_vector(_check_state(psi), alice)
     return _receiver_half(w, bob, correction_unitary(alice, bob),
                           dagger(estimation_elements().reversal_unitaries[bob]))
 
@@ -85,9 +94,10 @@ def exact_fidelity(psi: PureQubit, p_bit: float = 0.0, p_ph: float = 0.0) -> flo
     Weights each (alice outcome, error, bob outcome) branch by its joint
     probability and accumulates the overlap with the input state. Each
     branch is ``branch_statistics``, with Alice's half computed once per
-    outcome. The result does not depend on the error rates.
+    outcome. The result does not depend on the error rates. ValueError
+    unless psi is a ``PureQubit``.
     """
-    v = psi.vector
+    v = _check_state(psi).vector
     perr = error_probabilities(p_bit, p_ph)
     adjoints = [dagger(u) for u in estimation_elements().reversal_unitaries]
     total = 0.0
@@ -166,8 +176,9 @@ def mixed_input_fidelity(psi: PureQubit) -> float:
     The sender branch only fixes the outcome record used for the
     comparison; the receiver runs the same measurement, reversal, and
     correction on I/2. Equals ``exact_fidelity`` for every input.
+    ValueError unless psi is a ``PureQubit``.
     """
-    v = psi.vector
+    v = _check_state(psi).vector
     total = 0.0
     for alice in Outcome:
         p_a = outcome_probability(psi, alice)

@@ -91,8 +91,14 @@ def _phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - lam * b)))
 
 
+def _random_state_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha2, phi) of n random states, each drawn as alpha2, then phi."""
+    u = rng.random((n, 2))
+    return u[:, 0], u[:, 1] * 2 * np.pi
+
+
 def _random_states(rng: np.random.Generator, n: int) -> list[core.PureQubit]:
-    return [core.make_pure(rng.random(), rng.random() * 2 * np.pi) for _ in range(n)]
+    return [core.make_pure(a2, phi) for a2, phi in zip(*_random_state_points(rng, n))]
 
 
 def _random_plane_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +161,11 @@ def _check_minimality(rng):
 
 
 def _check_polar_roundtrip(rng):
-    worst = 0.0
-    for _ in range(1000):
-        e = linalg.random_invertible(rng)
-        u, p = linalg.polar_decompose(e)
-        worst = max(
-            worst,
-            float(np.max(np.abs(u @ p - e))),
-            float(np.max(np.abs(linalg.dagger(u) @ u - np.eye(2)))),
-            float(np.max(np.abs(p - linalg.dagger(p)))),
-        )
-    return worst
+    e = linalg.random_invertible(rng, 1000)
+    u, p = linalg.polar_decompose(e)
+    return float(max(np.max(np.abs(u @ p - e)),
+                     np.max(np.abs(linalg.dagger(u) @ u - np.eye(2))),
+                     np.max(np.abs(p - linalg.dagger(p)))))
 
 
 def _check_reversal_psd(rng):
@@ -238,18 +238,13 @@ def _check_projective_construction(rng):
 
 def _check_clone_symmetry(rng):
     # the two clones are the signal qubit and qubit 2; qubit 3 is the ancilla
-    worst = 0.0
-    for psi in _random_states(rng, 200):
-        cloned = cloning.uqcm_output(psi)
-        rho1 = core.reduce_qubit(cloned, 1)
-        rho2 = core.reduce_qubit(cloned, 2)
-        worst = max(
-            worst,
-            float(np.max(np.abs(rho1 - rho2))),
-            abs(core.fidelity(psi, rho1) - 5 / 6),
-            abs(core.fidelity(psi, rho2) - 5 / 6),
-        )
-    return worst
+    v = core.state_vector(*_random_state_points(rng, 200))
+    cloned = cloning._clone_vectors(v)
+    rho1 = core.reduce_qubit(cloned, 1)
+    rho2 = core.reduce_qubit(cloned, 2)
+    return float(max(np.max(np.abs(rho1 - rho2)),
+                     np.max(np.abs(core._overlaps(v, rho1) - 5 / 6)),
+                     np.max(np.abs(core._overlaps(v, rho2) - 5 / 6))))
 
 
 def _check_outcome_marginals(rng):
@@ -276,13 +271,8 @@ def _check_stored_reversals(rng):
     # recompose E_i = U_i sqrt(E_i^dag E_i) through the Cayley-Hamilton root,
     # a route independent of the polar factor the stored U_i came from
     est = cloning.estimation_elements()
-    return float(
-        max(
-            np.max(np.abs(est.reversal_unitaries[i] @ linalg.sqrtm_psd(est.effects[i])
-                          - est.elements[i]))
-            for i in range(4)
-        )
-    )
+    return float(np.max(np.abs(est.reversal_unitaries @ linalg.sqrtm_psd(est.effects)
+                               - est.elements)))
 
 
 def _check_reversal_floor(rng):

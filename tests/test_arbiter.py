@@ -1,4 +1,5 @@
-"""High-precision arbiter for the five plane evaluators and the Monte Carlo mean.
+"""High-precision arbiter for the five plane evaluators, the Monte Carlo
+mean and the kernels of verify's polar and clone checks.
 
 Each evaluator's surface has a closed form. mpmath evaluates it at 40
 digits at the same float (alpha2, phi) the evaluator receives, on the
@@ -19,6 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from clonerestore import cloning, core, linalg, verify
 from clonerestore import (
     alpha2_grid,
     analytic_fidelity,
@@ -139,3 +141,76 @@ def mc_mean_errors():
 def test_counts_mean_is_no_less_exact_than_the_sample_mean():
     counts, sample = mc_mean_errors()
     assert counts <= min(sample, MC_PIN)
+
+
+# verify's polar and clone checks: the largest residual of the kernels'
+# float output over the draws of ``verify --seed 0...19``, exact in Python
+# integers (every double is an integer over a power of 2) with the one
+# square root taken in mpmath at 40 digits, in units of 2^-53. Measured
+# before the kernels took stacks; a kernel change may lower a pin and
+# never raise it.
+VERIFY_SEEDS = range(20)
+CHECK_PINS = {
+    "polar: |u p - e|": 24.0,
+    "polar: |u^dag u - I|": 8.0,
+    "polar: |p - p^dag|": 0.0,
+    "clone: |rho1 - rho2|": 0.0,
+    "clone: |F - 5/6|": 6.7,
+}
+
+
+def check_stream(name, seed):
+    index = [check[0] for check in verify._CHECKS].index(name)
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def exact_parts(*arrays):
+    """The real and imaginary parts of each complex array as object arrays
+    of Python integers N, and one shift t with part = N / 2^t for all."""
+    ratio = np.frompyfunc(float.as_integer_ratio, 1, 2)
+    pairs = [ratio(part.astype(float)) for a in arrays for part in (a.real, a.imag)]
+    t = max((int(d).bit_length() - 1 for _, ds in pairs for d in ds.flat), default=0)
+    return [n * ((1 << t) // d) for n, d in pairs], t
+
+
+def largest_modulus(re, im, t):
+    """max |re + i im| / 2^t in units of 2^-53, for object integer arrays."""
+    r2 = (re * re + im * im).max(initial=0)
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(r2) * mpmath.ldexp(1, 53 - t))
+
+
+@lru_cache(maxsize=1)
+def check_residuals():
+    worst = dict.fromkeys(CHECK_PINS, 0.0)
+
+    def record(key, value):
+        worst[key] = max(worst[key], value)
+
+    for seed in VERIFY_SEEDS:
+        e = linalg.random_invertible(check_stream("polar-decomposition-roundtrip", seed), 1000)
+        u, p = linalg.polar_decompose(e)
+        (ur, ui, pr, pi, er, ei), t = exact_parts(u, p, e)
+        record("polar: |u p - e|", largest_modulus(ur @ pr - ui @ pi - (er << t),
+                                                  ur @ pi + ui @ pr - (ei << t), 2 * t))
+        urt, uit = ur.swapaxes(1, 2), ui.swapaxes(1, 2)
+        eye = np.array([[1, 0], [0, 1]], dtype=object) << 2 * t
+        record("polar: |u^dag u - I|", largest_modulus(urt @ ur + uit @ ui - eye,
+                                                      urt @ ui - uit @ ur, 2 * t))
+        record("polar: |p - p^dag|", largest_modulus(pr - pr.swapaxes(1, 2), pi + pi.swapaxes(1, 2), t))
+
+        v = core.state_vector(*verify._random_state_points(
+            check_stream("clone-symmetry-and-fidelity", seed), 200))
+        cloned = cloning._clone_vectors(v)
+        rho1, rho2 = core.reduce_qubit(cloned, 1), core.reduce_qubit(cloned, 2)
+        (r1r, r1i, r2r, r2i), t = exact_parts(rho1, rho2)
+        record("clone: |rho1 - rho2|", largest_modulus(r1r - r2r, r1i - r2i, t))
+        for rho in (rho1, rho2):
+            f = core._overlaps(v, rho).tolist()
+            record("clone: |F - 5/6|", float(max(abs(Fraction(x) - Fraction(5, 6)) for x in f) * 2 ** 53))
+    return worst
+
+
+@pytest.mark.parametrize("residual", sorted(CHECK_PINS))
+def test_check_residuals_within_pins(residual):
+    assert check_residuals()[residual] <= CHECK_PINS[residual]

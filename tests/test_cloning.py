@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from clonerestore.cloning import (
     Outcome,
+    _clone_vectors,
     elements_from_cloner,
     estimation_elements,
     outcome_probability,
@@ -14,7 +17,7 @@ from clonerestore.cloning import (
     reversed_fidelity_plane,
     uqcm_output,
 )
-from clonerestore.core import PureQubit, fidelity, make_pure, reduce_qubit
+from clonerestore.core import PureQubit, fidelity, make_pure, reduce_qubit, state_vector
 from clonerestore.linalg import dagger, nearest_unitary
 
 KET0 = make_pure(1.0, 0.0)
@@ -82,8 +85,33 @@ class TestUqcmOutput:
             assert fidelity(psi, rho1) == pytest.approx(5 / 6, abs=1e-13)
             assert fidelity(psi, rho2) == pytest.approx(5 / 6, abs=1e-13)
 
+    @given(points=st.lists(state_params, max_size=6))
+    def test_stacked_kernel_is_uqcm_output_bit_for_bit(self, points):
+        alpha2, phi = np.array(points, dtype=float).reshape(-1, 2).T
+        per_state = np.array([uqcm_output(make_pure(a2, ph)) for a2, ph in zip(alpha2, phi)],
+                             dtype=complex).reshape(-1, 8)
+        v = state_vector(alpha2, phi)
+        for stack in (v, v[None]):
+            out = _clone_vectors(stack)
+            assert out.shape == stack.shape[:-1] + (8,)
+            assert out.reshape(-1, 8).tobytes() == per_state.tobytes()
+
+
+# sha256 of the little-endian complex128 bytes, recorded before the polar
+# decomposition took stacks: the reversal unitaries feed every sweep and
+# Monte Carlo number, so a kernel change that moves a bit fails here first
+CHANNEL_SHA256 = {
+    "reversal_unitaries": "b7e02fcf0bf5693c16af766d860cc047d1936ca0c434048b6cb49c6edabb7c98",
+    "sqrt_effects": "71144e9ccacac0bf4ac923a836b75e783d8548ca343007d2016bc1ea1a09713d",
+}
+
 
 class TestEstimationElements:
+    @pytest.mark.parametrize("field", sorted(CHANNEL_SHA256))
+    def test_bits_are_pinned(self, field):
+        a = np.ascontiguousarray(getattr(estimation_elements(), field), dtype="<c16")
+        assert hashlib.sha256(a.tobytes()).hexdigest() == CHANNEL_SHA256[field]
+
     def test_first_element_closed_form(self):
         est = estimation_elements()
         np.testing.assert_allclose(est.elements[0], ELEMENTS[0], atol=1e-15)

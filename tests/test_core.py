@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clonerestore.cloning import estimation_elements
 from clonerestore.linalg import ATOL
@@ -15,6 +16,7 @@ from clonerestore.core import (
     ErrorType,
     KrausChannel,
     PureQubit,
+    _overlaps,
     apply_channel,
     error_channel,
     error_probabilities,
@@ -403,3 +405,43 @@ class TestReduceQubit:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             reduce_qubit(np.zeros(4), 1)
+
+    # a stack of 8-vectors; an array of another last axis, even of 8
+    # entries, is refused rather than reshaped
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2), (8, 2), (3, 9)], ids=str)
+    def test_wrong_trailing_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"state must have shape \(\.\.\., 8\)"):
+            reduce_qubit(np.zeros(shape), 1)
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("keep", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_stack_equals_per_state_calls(self, keep, shape, data):
+        entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        states = data.draw(hnp.arrays(complex, shape + (8,), elements=entries))
+        out = reduce_qubit(states, keep)
+        per_state = np.array([reduce_qubit(s, keep) for s in states.reshape(-1, 8)], dtype=complex)
+        assert out.shape == shape + (2, 2)
+        assert out.tobytes() == per_state.tobytes()
+
+    def test_one_faulty_state_fails_the_stack(self):
+        states = np.zeros((3, 8), dtype=complex)
+        for bad in (np.nan, np.inf, 1e200):
+            states[1, 5] = bad
+            with pytest.raises(ValueError, match="state entries must be finite and at most 1e150"):
+                reduce_qubit(states, 1)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_overlap_kernel_is_fidelity_bit_for_bit(data):
+    """``fidelity`` is the one-element case of the stacked overlap that
+    verify's clone check calls."""
+    n = data.draw(st.integers(0, 5))
+    alpha2, phi = (np.array(data.draw(st.lists(x, min_size=n, max_size=n)), dtype=float)
+                   for x in (probabilities, phis))
+    rho = data.draw(hnp.arrays(complex, (n, 2, 2), elements=st.complex_numbers(
+        max_magnitude=10.0, allow_nan=False, allow_infinity=False)))
+    per_state = [fidelity(make_pure(a2, p), r) for a2, p, r in zip(alpha2, phi, rho)]
+    assert _overlaps(state_vector(alpha2, phi), rho).tobytes() == np.array(per_state).tobytes()

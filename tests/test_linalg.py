@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clonerestore.core import (
     KrausChannel,
@@ -61,6 +64,14 @@ class TestHsDistance:
     def test_matches_entrywise_oracle(self):
         got = hs_distance(ELEMENTS[0], E0_UNITARY)
         assert got == pytest.approx(entrywise_distance(ELEMENTS[0], E0_UNITARY), abs=1e-14)
+
+    # one pair of 2x2 matrices: any other shape, a stack included, is refused
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2, 2)], ids=str)
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="a and b must be 2x2 matrices"):
+            hs_distance(np.ones(shape), np.ones(shape))
+        with pytest.raises(ValueError, match="a and b must be 2x2 matrices"):
+            hs_distance(I2, np.ones(shape))
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(3)
@@ -198,6 +209,98 @@ class TestPredicates:
                 haar_random_unitary(rng, size)
 
 
+class TestRandomInvertible:
+    # the streams of verify's polar-decomposition-roundtrip check (index 2)
+    # at --seed 0...19 and 318
+    @pytest.mark.parametrize("seed", [*range(20), 318])
+    def test_stack_draws_what_sequential_calls_draw(self, seed):
+        one, many = (np.random.default_rng(np.random.SeedSequence((seed, 2))) for _ in range(2))
+        sequential = np.array([random_invertible(one) for _ in range(1000)])
+        assert random_invertible(many, 1000).tobytes() == sequential.tobytes()
+        assert many.random() == one.random()    # neither drew a candidate past the last
+
+    def test_shapes_and_determinants(self):
+        rng = np.random.default_rng(29)
+        assert random_invertible(rng).shape == (2, 2)
+        assert random_invertible(rng, 0).shape == (0, 2, 2)
+        assert np.all(np.abs(det2(random_invertible(rng, np.int64(50)))) >= 0.05)
+
+    def test_size_is_a_count(self):
+        rng = np.random.default_rng(29)
+        for size, message in ((True, "an integer"), (2.0, "an integer"), ("2", "an integer"),
+                              (-1, "at least 0")):
+            with pytest.raises(ValueError, match=f"size must be {message}"):
+                random_invertible(rng, size)
+
+
+# the functions that take a (..., 2, 2) stack, each with a map from a
+# random complex matrix stack to a valid input
+STACKED = {
+    "det2": (det2, lambda a: a),
+    "sqrtm_psd": (sqrtm_psd, lambda a: a @ dagger(a)),
+    "polar_decompose": (polar_decompose, lambda a: a),
+    "nearest_unitary": (nearest_unitary, lambda a: a),
+}
+STACK_SHAPES = [(0,), (5,), (2, 3)]
+
+
+def as_parts(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+@pytest.mark.parametrize("name", sorted(STACKED))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_stack_equals_per_matrix_calls_bit_for_bit(name, shape, data):
+    f, valid = STACKED[name]
+    entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    a = valid(data.draw(hnp.arrays(complex, shape + (2, 2), elements=entries)))
+    per_matrix = []
+    for m in a.reshape(-1, 2, 2):
+        try:
+            per_matrix.append(as_parts(f(m)))
+        except ValueError as err:    # a singular draw: the stack fails as it does
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                f(a)
+            return
+    for k, part in enumerate(as_parts(f(a))):
+        assert part.shape[:len(shape)] == shape
+        expected = np.array([parts[k] for parts in per_matrix], dtype=part.dtype)
+        assert part.tobytes() == expected.tobytes()
+
+
+FAULTY = {
+    "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "nan": np.diag([np.nan, 1.0]),
+    "inf": np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    "norm-overflow": np.diag([1e200, 1e200]),
+    "not-psd": np.diag([-1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY))
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_one_faulty_matrix_fails_the_stack_as_it_fails_alone(name, fault):
+    f, _ = STACKED[name]
+    stack = np.arange(1.0, 7.0)[:, None, None] * I2    # PSD and invertible
+    stack[4] = FAULTY[fault]
+    try:
+        f(FAULTY[fault])
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            f(stack.reshape(2, 3, 2, 2))
+    else:
+        f(stack.reshape(2, 3, 2, 2))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 3), (2, 3), (5, 2, 1), (2, 2, 3)], ids=str)
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_wrong_trailing_shape_rejected(name, shape):
+    with pytest.raises(ValueError, match=r"must have shape \(\.\.\., 2, 2\)"):
+        STACKED[name][0](np.ones(shape))
+
+
 # Hermitian matrices, whose only fault is a non-finite entry, and a NaN or
 # an infinity beside an entry whose square overflows
 NONFINITE = [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
@@ -269,6 +372,12 @@ ARRAY_FUNCTIONS = {
     "from_vector": (2, lambda x: PureQubit.from_vector(x)),
     "KrausChannel": (4, lambda x: KrausChannel(x.reshape(1, 2, 2))),
     "state_vector": (1, lambda x: state_vector(0.5, x[0].real)),
+    # 3-element stacks: one faulty matrix or state fails the whole call
+    "det2-stack": (12, lambda x: det2(x.reshape(3, 2, 2))),
+    "sqrtm_psd-stack": (12, lambda x: sqrtm_psd(x.reshape(3, 2, 2))),
+    "polar_decompose-stack": (12, lambda x: polar_decompose(x.reshape(3, 2, 2))),
+    "nearest_unitary-stack": (12, lambda x: nearest_unitary(x.reshape(3, 2, 2))),
+    "reduce_qubit-stack": (24, lambda x: reduce_qubit(x.reshape(3, 8), 2)),
 }
 
 

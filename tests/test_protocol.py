@@ -16,6 +16,7 @@ from clonerestore.cloning import (
     reverse,
     reversed_fidelity,
     reversed_fidelity_plane,
+    uqcm_output,
 )
 from clonerestore.core import (
     MAXIMALLY_MIXED,
@@ -26,6 +27,7 @@ from clonerestore.core import (
     PureQubit,
     error_channel,
     error_probabilities,
+    fidelity,
     make_pure,
 )
 from clonerestore.protocol import (
@@ -282,6 +284,58 @@ def test_plane_arguments_follow_one_rule(name, junk):
             call()
 
 
+PSI = make_pure(0.3, 1.0)
+# (argument, call) per public argument that takes a PureQubit, an Outcome
+# or an ErrorType
+TYPED_ARGUMENTS = {
+    "fidelity-psi": ("psi", lambda x: fidelity(x, MAXIMALLY_MIXED)),
+    "uqcm_output-psi": ("psi", lambda x: uqcm_output(x)),
+    "outcome_probability-psi": ("psi", lambda x: outcome_probability(x, 0)),
+    "outcome_probability-outcome": ("outcome", lambda x: outcome_probability(PSI, x)),
+    "post_measurement_state-psi": ("psi", lambda x: post_measurement_state(x, 0)),
+    "post_measurement_state-outcome": ("outcome", lambda x: post_measurement_state(PSI, x)),
+    "reverse-state": ("state", lambda x: reverse(x, 0)),
+    "reverse-outcome": ("outcome", lambda x: reverse(PSI, x)),
+    "reversed_fidelity-psi": ("psi", lambda x: reversed_fidelity(x)),
+    "correction_unitary-alice": ("alice", lambda x: correction_unitary(x, 0)),
+    "correction_unitary-bob": ("bob", lambda x: correction_unitary(0, x)),
+    "branch_statistics-psi": ("psi", lambda x: branch_statistics(x, 0, 0, 0)),
+    "branch_statistics-alice": ("alice", lambda x: branch_statistics(PSI, x, 0, 0)),
+    "branch_statistics-error": ("error", lambda x: branch_statistics(PSI, 0, x, 0)),
+    "branch_statistics-bob": ("bob", lambda x: branch_statistics(PSI, 0, 0, x)),
+    "exact_fidelity-psi": ("psi", lambda x: exact_fidelity(x)),
+    "mixed_input_fidelity-psi": ("psi", lambda x: mixed_input_fidelity(x)),
+}
+
+
+# one check per type (core._check_state and core._check_member): junk is
+# a ValueError naming its argument, not an AttributeError, an IndexError
+# or numpy's reshape error
+@pytest.mark.parametrize("junk", [None, "1", True, 1.0, -1, 4, 7, np.int64(9), np.array([1]),
+                                  1 + 0j],
+                         ids=["None", "str", "bool", "float", "-1", "4", "7", "int64-9",
+                              "array", "complex"])
+@pytest.mark.parametrize("name", sorted(TYPED_ARGUMENTS))
+def test_state_outcome_and_error_arguments_are_checked(name, junk):
+    argument, call = TYPED_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be a "):
+        call(junk)
+
+
+def test_members_and_the_integers_0_to_3_are_accepted():
+    for a, e, b in [(0, 0, 0), (1, 2, 3), (3, 3, 2)]:
+        p, s = branch_statistics(PSI, a, np.int64(e), b)
+        p_ref, s_ref = branch_statistics(PSI, Outcome(a), ErrorType(e), Outcome(b))
+        assert float_bits(p, s.alpha, s.beta, s.phi) == float_bits(
+            p_ref, s_ref.alpha, s_ref.beta, s_ref.phi)
+    for o in range(4):
+        assert outcome_probability(PSI, o) == outcome_probability(PSI, Outcome(o))
+        assert post_measurement_state(PSI, o) == post_measurement_state(PSI, Outcome(o))
+        assert reverse(PSI, o) == reverse(PSI, Outcome(o))
+        np.testing.assert_array_equal(correction_unitary(o, 3 - o),
+                                      correction_unitary(Outcome(o), Outcome(3 - o)))
+
+
 class TestAnalyticFidelity:
     @pytest.mark.parametrize("alpha2,phi,expected", [
         (1.0, 0.0, 5 / 9),
@@ -431,6 +485,28 @@ class TestBlochForm:
         np.testing.assert_array_equal(
             bloch_form(BASELINE_FORM_OPS, 1), np.diag([Fraction(1, 2), 0, 0, Fraction(1, 2)]))
         assert all(type(x) is Fraction for x in protocol_form().ravel())
+
+    def test_three_surfaces_are_one_form(self):
+        # the mixed form as _form_bank builds it, in exact fractions
+        receivers = [protocol._receiver_operator(a, b) for a in Outcome for b in Outcome]
+        num = core._form_numerators(np.repeat(estimation_elements().effects, 4, axis=0),
+                                    [n @ linalg.dagger(n) / 2 for n in receivers], 24 ** 2)
+        mixed = np.array([[Fraction(n, 8 * 24 ** 2) for n in row] for row in num], dtype=object)
+        np.testing.assert_array_equal(protocol._form_bank()[4], mixed.astype(float))
+        # exact minus mixed is -(1/9)(1 - x^2 - y^2 - z^2), zero on the sphere
+        np.testing.assert_array_equal(protocol_form() - mixed,
+                                      np.diag([Fraction(-1, 9)] + [Fraction(1, 9)] * 3))
+        # the mixed form is diagonal, so with a = alpha^2, c = cos^2(phi),
+        # x^2 = 4a(1 - a)c, y^2 = 4a(1 - a)(1 - c) and z = 2a - 1 it and the
+        # analytic surface are polynomials of degree 2 in a and 1 in c: equal
+        # on this 4x3 grid, they are equal everywhere
+        np.testing.assert_array_equal(mixed, np.diag(np.diag(mixed)))
+        g = np.diag(mixed)
+        for a in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            for c in (Fraction(0), Fraction(1, 4), Fraction(1)):
+                s2 = 4 * a * (1 - a)
+                form = g[0] + g[1] * s2 * c + g[2] * s2 * (1 - c) + g[3] * (2 * a - 1) ** 2
+                assert form == (5 - 2 * a + 2 * a ** 2) / 9 + Fraction(8, 9) * a * (1 - a) * c
 
     def test_single_pauli(self):
         # |<v|Y|v>|^2 = y^2
