@@ -22,6 +22,7 @@ from .core import (
     _check_finite,
     _check_positive,
     _check_probability,
+    _form_rows,
     make_pure,
     state_vector,
 )
@@ -29,15 +30,18 @@ from .verify import VerifyReport, run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
 # alpha^2 rows evaluated, formatted and written at a time. It bounds the
-# block's values, digits and text buffer to a few rows whatever
-# --grid-alpha is; the bytes written do not depend on it.
+# block's values and byte table to a few rows whatever --grid-alpha is;
+# the bytes written do not depend on it.
 _BLOCK_ROWS = 4
-# Width of a formatted cell: the longest format(x, ".12g") text, such as
+# Width of a value slot: the longest format(x, ".12g") text, such as
 # "-2.22507385851e-308", has 19 characters.
 _CELL_WIDTH = 19
+# What a value slot holds before its cell is written: a fast cell (see
+# _fill_cells) writes only the 12 bytes after "0.".
+_FRAME = np.frombuffer(b"0." + b" " * (_CELL_WIDTH - 2), dtype=np.uint8)
 # A value whose x * 1e12 lies within 2**-12 of a half-integer, that is
 # at least this far from the nearest integer, is a near-tie, left to
-# Python's own formatting (see _format_cells).
+# Python's own formatting (see _fill_cells).
 _TIE_MARGIN = 0.5 - 2.0 ** -12
 # An mc sweep whose Monte Carlo work, in trials, is below _FORK_TRIALS
 # stays in one process: forking and hearing from a worker costs about as
@@ -75,79 +79,117 @@ def _digit_groups() -> np.ndarray:
     return text
 
 
-def _format_cells(x) -> np.ndarray:
-    """Text of format(v, ".12g") for each v of ``x``, as ASCII bytes.
+def _fill_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write format(v, ".12g") of each v of the float array ``x``, padded on
+    the right with spaces, into ``cells``, of shape x.shape + (_CELL_WIDTH,),
+    whose cells hold _FRAME. Returns the mask of the cells that no longer do.
 
-    Returns an (N, _CELL_WIDTH) uint8 array with one cell per row, padded
-    on the right with spaces, for the N values of ``x`` in C order.
-
-    A cell 0.1 <= v < 1 is written from m = rint(y), y = v * 1e12, when
-    m < 1e12 and |y - m| < _TIE_MARGIN. Since y < 2**40 it is within 2**-14
-    of the exact product, and y - m is exact, so m is the correctly
+    A cell 0.1 <= v < 1 is fast: it is written from m = rint(y), y = v * 1e12,
+    when m < 1e12 and |y - m| < _TIE_MARGIN. Since y < 2**40 it is within
+    2**-14 of the exact product, and y - m is exact, so m is the correctly
     rounded 12-digit integer, and the text is "0." and the digits of m
     without trailing zeros (float(0.1) > 1/10 keeps the exponent at -1).
-    The digits are looked up for three 4-digit groups of m, split by float
-    floor division, which is exact below 2**53. Every other cell, near-ties
-    included, is Python's own "%.12g".
+    The digits are looked up for three 4-digit groups of m, split in
+    integers, and stored after the frame's "0."; a group with only zero
+    groups after it is looked up with its trailing zeros blanked. Every
+    other cell, near-ties included, is Python's own "%.12g", written whole.
     """
-    x = np.ravel(np.asarray(x, dtype=float))
     # clamped into [0, 1] (nan to 1), so nothing below overflows or warns;
-    # the clamped values never pass the test for a fast cell
-    clamped = np.fmax(np.fmin(x, 1.0), 0.0)
-    y = clamped * 1e12
+    # the clamped values never pass the test for a fast cell. In place
+    # where it can, so that few of the block's temporaries live at once.
+    y = np.fmax(np.fmin(x, 1.0), 0.0)
+    fast = y >= 0.1
+    y *= 1e12
     m = np.rint(y)
-    fast = (clamped >= 0.1) & (m < 1e12) & (np.abs(y - m) < _TIE_MARGIN)
+    fast &= m < 1e12
+    y -= m
+    fast &= np.abs(y, out=y) < _TIE_MARGIN
+    del y
 
-    high = np.floor(m / 1e8)
-    middle = np.floor((m - high * 1e8) / 1e4)
-    low = m - high * 1e8 - middle * 1e4
-    # a group with only zero groups after it is looked up with its
-    # trailing zeros blanked; the high group of a fast cell is not zero
-    low_zero = low == 0
-    groups = np.empty((x.size, 3), dtype=np.intp)
-    groups[:, 0] = high + (low_zero & (middle == 0)) * 1e4
-    groups[:, 1] = middle + low_zero * 1e4
-    groups[:, 2] = low + 1e4
-    text = _digit_groups()
-    chars = np.full((x.size, _CELL_WIDTH), ord(" "), dtype=np.uint8)
-    chars[:, 0] = ord("0")
-    chars[:, 1] = ord(".")
-    # clipped: a cell that is not fast may have groups out of range
-    chars[:, 2:14] = text.take(groups, mode="clip").view(np.uint8)
+    m = m.astype(np.intp)
+    groups = np.empty((3,) + x.shape, dtype=np.intp)
+    high, middle, low = groups
+    np.floor_divide(m, 10**8, out=high)
+    m -= high * 10**8    # the low 8 digits
+    np.floor_divide(m, 10**4, out=middle)
+    np.subtract(m, middle * 10**4, out=low)
+    np.add(high, 10**4, out=high, where=m == 0)
+    np.add(middle, 10**4, out=middle, where=low == 0)
+    low += 10**4
+    del m
+    # clipped: a cell that is not fast may have a group out of range
+    digits = _digit_groups().take(groups, mode="clip")
+    cells[..., 2:14].view(np.uint32)[...] = np.moveaxis(digits, 0, -1)
 
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        cells = (f"%-{_CELL_WIDTH}.12g" * slow.size) % tuple(x[slow].tolist())
-        chars[slow] = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL_WIDTH)
-    return chars
+    slow = ~fast
+    if slow.any():
+        texts = (f"%-{_CELL_WIDTH}.12g" * np.count_nonzero(slow)) % tuple(x[slow].tolist())
+        cells[slow] = np.frombuffer(texts.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL_WIDTH)
+    return slow
 
 
-def _block_text(alpha_chars, phi_chars, cols: list[np.ndarray]) -> str:
+def _format_cells(x) -> np.ndarray:
+    """``_fill_cells`` of the N values of ``x`` in C order, as a new
+    (N, _CELL_WIDTH) uint8 array with one cell per row."""
+    x = np.ravel(np.asarray(x, dtype=float))
+    cells = np.empty((x.size, _CELL_WIDTH), dtype=np.uint8)
+    cells[:] = _FRAME
+    _fill_cells(x, cells)
+    return cells
+
+
+def _trimmed(cells: np.ndarray) -> np.ndarray:
+    """``_format_cells`` output cut to its longest cell: the byte columns
+    that are not all spaces, since no "%.12g" text has a space."""
+    return cells[:, :np.count_nonzero((cells != ord(" ")).any(axis=0))]
+
+
+def _line_table(rows: int, alpha_width: int, phi_cells: np.ndarray, columns: int) -> np.ndarray:
+    """The byte table the sweep's blocks are written into, one per run.
+
+    Its shape is (rows, phi values, line width): one line per (alpha2, phi)
+    pair, a slot of alpha_width bytes for alpha2, then ``phi_cells``, then
+    ``columns`` value slots of _CELL_WIDTH bytes, each field followed by a
+    comma, the last by a newline. The commas, newlines and phi cells are
+    written here; every value slot holds _FRAME (see ``_block_text``).
+    """
+    phi_width = phi_cells.shape[1]
+    table = np.empty((rows, len(phi_cells), alpha_width + phi_width + 2
+                      + columns * (_CELL_WIDTH + 1)), dtype=np.uint8)
+    table[..., alpha_width] = ord(",")
+    table[..., alpha_width + 1:alpha_width + 1 + phi_width] = phi_cells
+    table[..., alpha_width + 1 + phi_width] = ord(",")
+    slots = _value_slots(table, columns)
+    slots[..., :_CELL_WIDTH] = _FRAME
+    slots[..., _CELL_WIDTH] = ord(",")
+    table[..., -1] = ord("\n")
+    return table
+
+
+def _value_slots(lines: np.ndarray, columns: int) -> np.ndarray:
+    """The value slots, separators included, of ``_line_table`` lines."""
+    slots = lines[..., -columns * (_CELL_WIDTH + 1):]
+    return slots.reshape(lines.shape[:-1] + (columns, _CELL_WIDTH + 1))
+
+
+def _block_text(table: np.ndarray, alpha_cells: np.ndarray, cols: list[np.ndarray]) -> str:
     """CSV lines of one block: one per (alpha2, phi) pair, in row order.
 
-    ``alpha_chars`` and ``phi_chars`` are the ``_format_cells`` of the
-    block's alpha2 values and of phi; ``cols`` are its value columns,
-    each of shape (alpha2 values, phi values). A field takes a slot as
-    wide as its longest cell, then a separator, in one byte table;
-    dropping the spaces that pad the shorter cells leaves the text.
+    ``table`` is the run's ``_line_table``, ``alpha_cells`` the block's
+    alpha2 cells cut to the table's alpha2 slot, and ``cols`` its value
+    columns, each of shape (alpha2 values, phi values). The alpha2 and
+    value cells are written into the table's first rows; dropping the
+    spaces that pad the shorter cells leaves the text. The value slots of
+    the cells that were not fast hold _FRAME again on return, so the next
+    block finds the table as ``_line_table`` left it.
     """
-    lines = (len(alpha_chars), len(phi_chars))
-    chars = _format_cells(np.stack(cols, axis=-1)).reshape(lines + (len(cols), _CELL_WIDTH))
-    # a slot is as wide as the byte columns of its field that are not all
-    # spaces, since no "%.12g" text has a space; reduced over the block's
-    # rows first, numpy ORs a few long runs, not one short run per line
-    used = [(alpha_chars != ord(" ")).any(axis=0), (phi_chars != ord(" ")).any(axis=0),
-            *(chars != ord(" ")).any(axis=0).any(axis=0)]
-    widths = [int(np.count_nonzero(u)) for u in used]
-    fields = [alpha_chars[:, None], phi_chars] + [chars[:, :, k] for k in range(len(cols))]
-    table = np.empty(lines + (sum(widths) + len(widths),), dtype=np.uint8)
-    start = 0
-    for field, width in zip(fields, widths):
-        table[..., start:start + width] = field[..., :width]
-        table[..., start + width] = ord(",")
-        start += width + 1
-    table[..., -1] = ord("\n")
-    return table[table != ord(" ")].tobytes().decode("ascii")
+    lines = table[:len(alpha_cells)]
+    lines[..., :alpha_cells.shape[1]] = alpha_cells[:, None]
+    cells = _value_slots(lines, len(cols))[..., :_CELL_WIDTH]
+    slow = _fill_cells(np.stack(cols, axis=-1), cells)
+    text = lines.tobytes().translate(None, b" ").decode("ascii")
+    cells[slow] = _FRAME
+    return text
 
 
 def _checked(convert, check, *args):
@@ -212,28 +254,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _block_columns(args, first_row: int, aa: np.ndarray, pp: np.ndarray,
-                   mc_estimates) -> list[np.ndarray]:
-    """Value columns after alpha2,phi for a block of rows starting at ``first_row``.
+def _column_plan(args, phis: np.ndarray, mc_estimates):
+    """The sweep's value columns after alpha2,phi, planned once per run:
+    each evaluator's phi terms are computed here.
 
-    Each column has shape (rows in the block, n_phi). The first one is
-    the mode's evaluator, the column the ``# average=`` line averages
-    except in mc mode, where it is the third (``f_mc``), from
-    ``mc_estimates(first_row, vectors)`` (see ``_mc_pool``).
+    Returns ``columns(first_row, aa)``, the columns of the block of alpha2
+    rows ``aa``, shape (rows, 1), from ``first_row``, each of shape
+    (rows, n_phi). The first is the mode's evaluator, the column the
+    ``# average=`` line averages except in mc mode, where it is the third
+    (``f_mc``), from ``mc_estimates(first_row, vectors)`` (see ``_mc_pool``).
     """
     if args.mode == "baseline":
-        baseline = protocol.baseline_fidelity_plane(aa, pp)
-        return [baseline, baseline]
-    analytic = protocol.analytic_fidelity(aa, pp)
+        return lambda first_row, aa: [protocol.baseline_fidelity_plane(aa, phis)] * 2
+    analytic = protocol._analytic_rows(phis)
     if args.mode == "analytic":
-        return [analytic, analytic]
+        return lambda first_row, aa: [analytic(aa)] * 2
     if args.mode == "mixed":
-        return [protocol.mixed_input_fidelity_plane(aa, pp), analytic]
-    exact = protocol.exact_fidelity_plane(aa, pp, args.pbit, args.pph)
+        mixed = _form_rows(protocol._form_bank()[4], phis)
+        return lambda first_row, aa: [mixed(aa), analytic(aa)]
+    exact = _form_rows(protocol._exact_form(args.pbit, args.pph), phis)
     if args.mode == "exact":
-        return [exact, analytic]
-    means, stderrs = mc_estimates(first_row, state_vector(aa, pp).reshape(-1, 2))
-    return [exact, analytic, means.reshape(exact.shape), stderrs.reshape(exact.shape)]
+        return lambda first_row, aa: [exact(aa), analytic(aa)]
+
+    def columns(first_row, aa):
+        values = exact(aa)
+        means, stderrs = mc_estimates(first_row, state_vector(aa, phis).reshape(-1, 2))
+        return [values, analytic(aa), means.reshape(values.shape), stderrs.reshape(values.shape)]
+    return columns
 
 
 def _mc_processes(args) -> int:
@@ -305,26 +352,31 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
 
 
 def _write_sweep(args, fh) -> None:
-    """Evaluate, format and write the sweep one block of alpha^2 rows at a time."""
+    """Evaluate, format and write the sweep one block of alpha^2 rows at a time.
+
+    What does not depend on the block is done once per run: the
+    evaluators' phi terms (``_column_plan``), the alpha2 and phi cells, and
+    the byte table (``_line_table``) every block is written into.
+    """
     alpha2s = protocol.alpha2_grid(args.grid_alpha)
     phis = protocol.phi_grid(args.grid_phi)
-    header = "alpha2,phi,f_exact,f_analytic"
-    if args.mode == "mc":
-        header += ",f_mc,mc_stderr"
-    fh.write(header + "\n")
+    mc = args.mode == "mc"
+    fh.write("alpha2,phi,f_exact,f_analytic" + (",f_mc,mc_stderr" if mc else "") + "\n")
 
-    # every field is format(x, ".12g"); alpha2 and phi are formatted once
-    alpha_chars = _format_cells(alpha2s)
-    phi_chars = _format_cells(phis)
+    # every field is format(x, ".12g")
+    alpha_cells = _trimmed(_format_cells(alpha2s))
+    table = _line_table(min(_BLOCK_ROWS, len(alpha2s)), alpha_cells.shape[1],
+                        _trimmed(_format_cells(phis)), 4 if mc else 2)
     # the averaged column's row means: grid_average of these (n_alpha, 1)
     # means is, bit for bit, grid_average of the whole column
     row_means = np.empty((len(alpha2s), 1))
-    with _mc_pool(args, alpha2s, phis) if args.mode == "mc" else nullcontext() as mc_estimates:
+    with _mc_pool(args, alpha2s, phis) if mc else nullcontext() as mc_estimates:
+        columns = _column_plan(args, phis, mc_estimates)
         for lo in range(0, len(alpha2s), _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            cols = _block_columns(args, lo, alpha2s[rows, None], phis[None, :], mc_estimates)
-            cols[2 if args.mode == "mc" else 0].mean(axis=1, out=row_means[rows, 0])
-            fh.write(_block_text(alpha_chars[rows], phi_chars, cols))
+            cols = columns(lo, alpha2s[rows, None])
+            cols[2 if mc else 0].mean(axis=1, out=row_means[rows, 0])
+            fh.write(_block_text(table, alpha_cells[rows], cols))
     average = protocol.grid_average(row_means)
     fh.write(f"# average={_fmt(average)}\n")
 

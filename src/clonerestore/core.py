@@ -137,17 +137,28 @@ def _check_plane(alpha2, phi) -> tuple[np.ndarray, np.ndarray]:
 
     Both are real arrays by ``_real_array``'s rule. Every alpha2 must lie
     in [0, 1] and every phi must be finite; NaN fails both tests. Raises
-    ValueError naming the argument otherwise. phi comes back reduced by
-    ``PureQubit``'s rule: into [0, 2*pi), with a result of 2*pi made 0.
+    ValueError naming the argument otherwise, alpha2 first. phi comes back
+    reduced by ``PureQubit``'s rule: into [0, 2*pi), with a result of 2*pi
+    made 0.
     """
+    return _check_alpha2(alpha2), _check_phi(phi)
+
+
+def _check_alpha2(alpha2) -> np.ndarray:
+    """The alpha2 half of ``_check_plane``."""
     alpha2 = _real_array(alpha2, "alpha2")
     if not np.all((alpha2 >= 0.0) & (alpha2 <= 1.0)):
         raise ValueError("alpha2 must lie in [0, 1]")
+    return alpha2
+
+
+def _check_phi(phi) -> np.ndarray:
+    """The phi half of ``_check_plane``."""
     phi = _real_array(phi, "phi")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
     phi = np.remainder(phi, TWO_PI)
-    return alpha2, np.where(phi == TWO_PI, 0.0, phi)
+    return np.where(phi == TWO_PI, 0.0, phi)
 
 
 def state_vector(alpha2, phi) -> np.ndarray:
@@ -203,14 +214,28 @@ def _form_values(form: np.ndarray, alpha2, phi) -> np.ndarray:
     """r^T G r for a symmetric 4x4 G, taken as floats, at the Bloch vectors
     r = (1, x, y, z) of the states (alpha2, phi), checked and broadcast as
     in ``state_vector``."""
-    alpha2, phi = _check_plane(alpha2, phi)
+    alpha2 = _check_alpha2(alpha2)
+    return _form_rows(form, phi)(alpha2)
+
+
+def _form_rows(form: np.ndarray, phi):
+    """``_form_values`` split at phi: checks phi and computes its terms once,
+    and returns ``rows(alpha2)``, the values at alpha2, an array already
+    checked by ``_check_alpha2``, broadcast against phi. A sweep calls it
+    once per run and ``rows`` once per block of alpha2 rows."""
+    phi = _check_phi(phi)
     g = np.asarray(form, dtype=float)
     # s^2 = x^2 + y^2: each term is a function of alpha2 times one of phi
-    z, s2 = 2.0 * alpha2 - 1.0, 4.0 * alpha2 * (1.0 - alpha2)
-    s, c, sn = np.sqrt(s2), np.cos(phi), np.sin(phi)
-    return (g[0, 0] + z * (2.0 * g[0, 3] + g[3, 3] * z)
-            + s2 * (g[1, 1] * c * c + 2.0 * g[1, 2] * c * sn + g[2, 2] * sn * sn)
-            + 2.0 * s * (g[0, 1] * c + g[0, 2] * sn + z * (g[1, 3] * c + g[2, 3] * sn)))
+    c, sn = np.cos(phi), np.sin(phi)
+    ring = g[1, 1] * c * c + 2.0 * g[1, 2] * c * sn + g[2, 2] * sn * sn
+    plane = g[0, 1] * c + g[0, 2] * sn
+    tilt = g[1, 3] * c + g[2, 3] * sn
+
+    def rows(alpha2: np.ndarray) -> np.ndarray:
+        z, s2 = 2.0 * alpha2 - 1.0, 4.0 * alpha2 * (1.0 - alpha2)
+        return (g[0, 0] + z * (2.0 * g[0, 3] + g[3, 3] * z) + s2 * ring
+                + 2.0 * np.sqrt(s2) * (plane + z * tilt))
+    return rows
 
 
 def _check_rho(rho) -> np.ndarray:

@@ -149,8 +149,9 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     Uses sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
     valid for every PSD matrix except A = 0, which maps to 0. Raises
     ValueError for a wrong shape, a non-finite entry, a norm that
-    overflows, or a negative tr A + 2 sqrt(det A), which no PSD matrix
-    has; a stack raises the error of a matrix that raises one alone.
+    overflows, or a negative tr A + 2 sqrt(det A) or a root that
+    overflows, which no PSD matrix has; a stack raises the error of a
+    matrix that raises one alone.
     """
     a = _stack(a)
     _finite_norm2(a)
@@ -161,7 +162,13 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not PSD")
     denom = np.sqrt(tr + 2.0 * s)
     zero = denom == 0.0
-    root = (a + s[..., None, None] * IDENTITY) / np.where(zero, np.inf, denom)[..., None, None]
+    denom = np.where(zero, np.inf, denom)
+    # a PSD root's entries are at most denom; a finite entry, below 3e154
+    # since the norm is finite, overflows only over a denom below 2e-154
+    with _overflow_guard(1.0 / denom.min(initial=np.inf)):
+        root = (a + s[..., None, None] * IDENTITY) / denom[..., None, None]
+    if not np.isfinite(root).all():
+        raise ValueError("matrix is not PSD: its square root overflows")
     return np.where(zero[..., None, None], 0j, root)
 
 

@@ -23,9 +23,11 @@ from .core import (
     MAXIMALLY_MIXED,
     ErrorType,
     PureQubit,
+    _check_alpha2,
     _check_count,
     _check_finite,
     _check_member,
+    _check_phi,
     _check_plane,
     _check_positive,
     _check_real,
@@ -155,19 +157,33 @@ def _form_bank() -> np.ndarray:
     return _read_only(np.stack(forms))
 
 
+def _exact_form(p_bit: float, p_ph: float) -> np.ndarray:
+    """The p_e-weighted sum of the per-error forms of ``_form_bank``."""
+    return np.tensordot(error_probabilities(p_bit, p_ph), _form_bank()[:4], axes=1)
+
+
 def exact_fidelity_plane(alpha2, phi, p_bit: float = 0.0, p_ph: float = 0.0) -> np.ndarray:
     """Vectorized ``exact_fidelity`` over broadcast (alpha2, phi) arrays:
-    the p_e-weighted sum of the per-error forms of ``_form_bank``."""
-    form = np.tensordot(error_probabilities(p_bit, p_ph), _form_bank()[:4], axes=1)
-    return _form_values(form, alpha2, phi)
+    the form ``_exact_form(p_bit, p_ph)``."""
+    return _form_values(_exact_form(p_bit, p_ph), alpha2, phi)
 
 
 def analytic_fidelity(alpha2, phi) -> np.ndarray:
     """Closed-form protocol fidelity surface; broadcasts over arrays."""
-    alpha2, phi = _check_plane(alpha2, phi)
-    beta2 = 1.0 - alpha2
-    return (5.0 - 2.0 * alpha2 + 2.0 * alpha2 ** 2) / 9.0 \
-        + (8.0 / 9.0) * alpha2 * beta2 * np.cos(phi) ** 2
+    alpha2 = _check_alpha2(alpha2)
+    return _analytic_rows(phi)(alpha2)
+
+
+def _analytic_rows(phi):
+    """``analytic_fidelity`` split at phi, as ``core._form_rows`` splits a
+    form: checks phi and takes cos(phi)**2 once, and returns ``rows(alpha2)``
+    for alpha2 already checked by ``_check_alpha2``."""
+    cos2 = np.cos(_check_phi(phi)) ** 2
+
+    def rows(alpha2: np.ndarray) -> np.ndarray:
+        beta2 = 1.0 - alpha2
+        return (5.0 - 2.0 * alpha2 + 2.0 * alpha2 ** 2) / 9.0 + (8.0 / 9.0) * alpha2 * beta2 * cos2
+    return rows
 
 
 def mixed_input_fidelity(psi: PureQubit) -> float:

@@ -221,6 +221,9 @@ class TestSweep:
         assert (code, stdout) == (0, "")
         assert target.read_bytes() == out.encode("ascii")
 
+    # the 101 x 103 grid has near-tie cells and the 2 x 1 grid a short slow
+    # cell at phi = 0: every block reuses the run's byte table, so a slot
+    # must not keep what a slow cell of an earlier block left in it
     @pytest.mark.parametrize("block_rows", [1, 3, 64])
     @pytest.mark.parametrize("mode, n_alpha, n_phi, extra", [
         ("exact", 11, 9, dict(pbit=0.3, pph=0.6)),
@@ -228,6 +231,8 @@ class TestSweep:
         ("analytic", 11, 9, {}),
         ("baseline", 11, 9, {}),
         ("mc", 7, 5, dict(pbit=0.2, pph=0.7, trials=50, seed=4)),
+        ("exact", 101, 103, dict(pbit=0.3, pph=0.6)),
+        ("exact", 2, 1, {}),
     ])
     def test_bytes_do_not_depend_on_block_size(self, monkeypatch, block_rows, mode, n_alpha,
                                                n_phi, extra):
@@ -240,6 +245,27 @@ class TestSweep:
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == expected_sweep(mode, n_alpha, n_phi, **extra)
+
+    @pytest.mark.parametrize("block_rows", [1, 4, 64])
+    @pytest.mark.parametrize("n_alpha", [2, 11, 101])
+    def test_phi_work_runs_once_per_run(self, monkeypatch, block_rows, n_alpha):
+        # the exact and analytic columns check phi and compute its terms
+        # once each per run, not once per block of alpha^2 rows
+        expected = expected_sweep("exact", n_alpha, 7, pbit=0.3, pph=0.6)
+        calls = []
+        check_phi = core._check_phi
+
+        def counted(phi):
+            calls.append(np.shape(phi))
+            return check_phi(phi)
+
+        for module in (core, protocol):
+            monkeypatch.setattr(module, "_check_phi", counted)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        code, out, err = run_cli(["sweep", "--mode", "exact", "--grid-alpha", str(n_alpha),
+                                  "--grid-phi", "7", "--pbit", "0.3", "--pph", "0.6"])
+        assert (code, out, err) == (0, expected, "")
+        assert calls == [(7,), (7,)]
 
     def test_sweep_loads_neither_fractions_nor_decimal(self, run_python):
         # the exact forms are compiled in integers; only bloch_form, which

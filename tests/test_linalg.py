@@ -350,10 +350,12 @@ class TestOverflow:
             sqrtm_psd(np.diag([-1.0, 0.0]))
 
 
-# zeros, subnormals, +-1e+-300 and up to the largest double: each function
+# zeros, subnormals, the least normal double, +-1e+-300, magnitudes around
+# the 1e150 overflow guard and up to the largest double: each function
 # returns a finite value or raises ValueError, and never warns (pytest turns
 # a warning into an error)
-EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0,
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-300,
+            -1e-300, 1e-160, 1.0, 1e140, -1e140, 1e153, -1e153, 1e160, -1e160, 1e300, -1e300,
             1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
 PSI = make_pure(0.3, 1.0)
 ARRAY_FUNCTIONS = {
@@ -402,6 +404,20 @@ def test_finite_extremes_give_finite_output_or_value_error(name, data):
     except ValueError:
         return
     assert_finite(out)
+
+
+# a matrix that is not PSD, with a subnormal trace under a large entry: its
+# root overflowed in the division by sqrt(tr), with a RuntimeWarning
+SUBNORMAL_TRACE = np.array([[5e-324, 1e153], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("name, x", [
+    ("sqrtm_psd", SUBNORMAL_TRACE.ravel()),
+    ("sqrtm_psd-stack", np.stack([I2, SUBNORMAL_TRACE, 2 * I2]).ravel()),
+])
+def test_subnormal_trace_under_a_large_entry(name, x):
+    with pytest.raises(ValueError, match="^matrix is not PSD: its square root overflows$"):
+        ARRAY_FUNCTIONS[name][1](x)
 
 
 # NaN and infinities beside the extremes, a large entry included: each
