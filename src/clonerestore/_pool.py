@@ -60,19 +60,22 @@ def fork(work, inherited: list[int]) -> tuple[int, int] | None:
     return pid, read_fd
 
 
-def receive(fd: int, size: int) -> bytes | None:
-    """Exactly ``size`` bytes from the pipe ``fd``, or None if it ends first."""
-    chunks = []
-    while size:
-        try:
-            chunk = os.read(fd, size)
-        except OSError:
-            return None
+def receive(started: dict, k: int, size: int) -> bytes | None:
+    """Exactly ``size`` bytes from worker ``k`` of ``started`` (see ``workers``),
+    or None if it is not there or its pipe ends first. The one rule for a
+    worker that fails: it is stopped, its pipe closed and it is removed."""
+    data = b""
+    while k in started and len(data) < size:
+        pid, fd = started[k]
+        chunk = b""
+        with suppress(OSError):    # read as the end of the pipe
+            chunk = os.read(fd, size - len(data))
         if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
+            del started[k]
+            os.close(fd)
+            stop(pid)
+        data += chunk
+    return data if len(data) == size else None
 
 
 def send(fd: int, data) -> None:
@@ -83,7 +86,7 @@ def send(fd: int, data) -> None:
 
 
 def stop(pid: int) -> None:
-    import signal    # only a worker that failed, or a command that did, is stopped
+    import signal    # only once a worker's pipe has ended, or a command has failed
 
     with suppress(ProcessLookupError):
         os.kill(pid, signal.SIGKILL)
@@ -93,9 +96,9 @@ def stop(pid: int) -> None:
 def workers(count: int, work):
     """Fork workers 1 ... ``count``, worker k running ``work(k, fd)`` (see
     ``fork``), and yield a dict k -> (pid, pipe read end) of those that
-    started, from which the body may remove a failed one after stopping it
-    and closing its pipe. On the way out every pipe left is closed and every
-    worker reaped, after it is killed if the body raised.
+    started, to be read with ``receive``, which removes a failed one. On the
+    way out every pipe left is closed and every worker reaped, after it is
+    killed if the body raised.
     """
     started, pids = {}, []
     try:

@@ -26,7 +26,6 @@ from .core import (
     make_pure,
     state_vector,
 )
-from .verify import VerifyReport, run_checks
 
 _MODES = ("exact", "analytic", "mixed", "mc", "baseline")
 # alpha^2 rows evaluated, formatted and written at a time. It bounds the
@@ -309,7 +308,7 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
     share its ``protocol.mc_estimates`` call, so the values do not depend on
     the number of processes. The share of a worker that could not start,
     died or sent too few bytes is computed by the caller, and no later
-    share is asked of it (see ``_pool.workers``).
+    share is asked of it (see ``_pool.receive``).
     """
     from . import _pool
 
@@ -336,15 +335,9 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
         shares = [share(0, first_row, vectors)]
         for k in range(1, processes):
             lo, hi = bounds(k, len(vectors))
-            data = _pool.receive(workers[k][1], 16 * (hi - lo)) if k in workers else None
-            if data is None:
-                if k in workers:
-                    pid, fd = workers.pop(k)
-                    os.close(fd)
-                    _pool.stop(pid)
-                shares.append(share(k, first_row, vectors))
-            else:
-                shares.append(np.frombuffer(data).reshape(2, hi - lo))
+            data = _pool.receive(workers, k, 16 * (hi - lo))
+            shares.append(share(k, first_row, vectors) if data is None
+                          else np.frombuffer(data).reshape(2, hi - lo))
         return np.concatenate(shares, axis=1)
 
     with _pool.workers(processes - 1, work) as workers:
@@ -388,72 +381,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_report(args) -> VerifyReport:
-    """``run_checks(args.tol, args.seed)``, its checks shared by one process
-    per CPU, at most one per check (``_pool.processes``).
-
-    The check indices wait in one pipe, a byte each, written before the
-    workers are forked. Every process, this one too, reads one index at a
-    time and runs ``verify._run_check`` on it; a worker sends each result
-    back as a record of its index, deviation and seconds in raw bytes. A
-    check that no record reports, because a worker could not start, died
-    or sent a short record, is run here afterwards, in ``_CHECKS`` order,
-    so the report does not depend on the workers. A check that raises here
-    stops this process taking more; its exception is raised after the
-    unreported checks before it have run, so it is the one a single process
-    would meet first.
-    """
-    import struct
-
-    from . import _pool
-
-    checks = len(verify._CHECKS)
-    processes = _pool.processes(checks)
-    if processes == 1:
-        return run_checks(args.tol, args.seed)
-    verify._load_shared()
-    record = struct.Struct("=Bdd")
-
-    def take():
-        index = os.read(queue, 1)
-        return index[0] if index else None
-
-    def work(k, fd):
-        for index in iter(take, None):
-            result = verify._run_check(index, args.tol, args.seed)
-            _pool.send(fd, record.pack(index, result.deviation, result.seconds))
-
-    try:
-        queue, end = os.pipe()
-    except OSError:    # no descriptor left: no worker could start either
-        return run_checks(args.tol, args.seed)
-    os.write(end, bytes(range(checks)))    # far below a pipe's capacity
-    os.close(end)
-    results, failed = {}, None
-    try:
-        with _pool.workers(processes - 1, work) as workers:
-            for index in iter(take, None):
-                try:
-                    results[index] = verify._run_check(index, args.tol, args.seed)
-                except Exception as exc:
-                    failed = index, exc
-                    break
-            for _, fd in workers.values():
-                while (data := _pool.receive(fd, record.size)) is not None:
-                    index, deviation, seconds = record.unpack(data)
-                    results[index] = verify._result(index, args.tol, deviation, seconds)
-            for index in range(failed[0] if failed else checks):
-                if index not in results:
-                    results[index] = verify._run_check(index, args.tol, args.seed)
-            if failed:
-                raise failed[1]
-    finally:
-        os.close(queue)
-    return VerifyReport(tuple(results[index] for index in range(checks)))
-
-
 def cmd_verify(args) -> int:
-    report = _verify_report(args)
+    report = verify.command_report(args.tol, args.seed)
     for line in report.json_lines() if args.json else report.lines():
         print(line)
     return 0 if report.passed else 1

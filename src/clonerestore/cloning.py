@@ -119,7 +119,7 @@ _ELEMENTS = np.array(
 ) / (2.0 * np.sqrt(3.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationChannel(KrausChannel):
     """The estimation measurement with its per-outcome reversal unitaries.
 

@@ -384,14 +384,15 @@ def _check_member(x, kind: type[IntEnum], name: str):
     return kind(int(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving channel given by operation elements E_i.
 
     ``effects`` caches the POVM effects E_i^dag E_i used for outcome
     probabilities. Completeness (sum of effects = identity) is checked
     on construction; the elements are copied and both arrays are
-    read-only, so the check stays true.
+    read-only, so the check stays true. Channels compare and hash by
+    identity, as their fields are arrays.
     """
 
     elements: np.ndarray

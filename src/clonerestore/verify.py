@@ -9,6 +9,8 @@ override applies only to the deviation-based checks.
 from __future__ import annotations
 
 import math
+import os
+import struct
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass
@@ -467,9 +469,73 @@ def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     checks always use their z-score threshold. ``seed`` must be an integer
     >= 0. The CLI's ``--tol`` and ``--seed`` apply the same rules. Each result
     records its check's wall time. A check that raises ValueError fails
-    with deviation inf.
+    with deviation inf. The checks run in order, in this process.
     """
     if tol is not None:
         tol = core._check_positive(tol, "tol")
     core._check_count(seed, "seed", 0)
-    return VerifyReport(tuple(_run_check(index, tol, seed) for index in range(len(_CHECKS))))
+    return command_report(tol, seed, 1)
+
+
+def command_report(tol: float | None, seed: int, processes: int | None = None) -> VerifyReport:
+    """The report of the ``verify`` command: ``run_checks(tol, seed)``, with
+    ``tol`` and ``seed`` as the CLI has checked them, its checks shared by
+    ``processes`` processes, by default one per CPU, at most one per check
+    (``_pool.processes``). This is the one loop that runs ``_CHECKS``: every
+    process takes a check's index, runs ``_run_check`` on it and reports,
+    until none is left.
+
+    In one process, or where no queue pipe can be made, the indices are
+    taken in order and nothing is forked. Otherwise they wait in one pipe,
+    a byte each, and ``processes - 1`` workers are forked after
+    ``_load_shared``; a worker sends each result back as a raw record of its
+    index, deviation and seconds. A check that no record reports, as a
+    worker could not start, died or sent a short record (``_pool.receive``),
+    is run here afterwards, in order, so the report does not depend on the
+    workers. A check that raises here stops this process taking more; its
+    exception is raised once the unreported checks before it have run, so
+    it is the one a single process would meet first.
+    """
+    from . import _pool
+
+    if processes is None:
+        processes = _pool.processes(len(_CHECKS))
+    checks, record = len(_CHECKS), struct.Struct("=Bdd")
+    indices, queue = iter(range(checks)), None
+    if processes > 1:
+        _load_shared()
+        with suppress(OSError):    # no descriptor left: no worker could start either
+            queue, end = os.pipe()
+    if queue is not None:
+        os.write(end, bytes(range(checks)))    # far below a pipe's capacity
+        os.close(end)
+        # one read, one index: what a process takes, no other process gets
+        indices = (byte[0] for byte in iter(lambda: os.read(queue, 1), b""))
+
+    def work(k, fd):
+        for index in indices:
+            result = _run_check(index, tol, seed)
+            _pool.send(fd, record.pack(index, result.deviation, result.seconds))
+
+    results, failed = {}, None
+    try:
+        with _pool.workers(processes - 1 if queue is not None else 0, work) as workers:
+            for index in indices:
+                try:
+                    results[index] = _run_check(index, tol, seed)
+                except Exception as exc:
+                    failed = index, exc
+                    break
+            for k in list(workers):
+                while (data := _pool.receive(workers, k, record.size)) is not None:
+                    index, deviation, seconds = record.unpack(data)
+                    results[index] = _result(index, tol, deviation, seconds)
+            for index in range(failed[0] if failed else checks):
+                if index not in results:
+                    results[index] = _run_check(index, tol, seed)
+            if failed:
+                raise failed[1]
+    finally:
+        if queue is not None:
+            os.close(queue)
+    return VerifyReport(tuple(results[index] for index in range(checks)))

@@ -720,16 +720,16 @@ def verify_outputs(monkeypatch, seed=0, tol=None):
     """(exit code, text, JSON records without the seconds) of one verify
     command; the records are those of the report it printed as text."""
     reports = []
-    report = cli._verify_report
+    report = verify.command_report
 
-    def recorded(args):
-        reports.append(report(args))
+    def recorded(*args):
+        reports.append(report(*args))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "_verify_report", recorded)
+    monkeypatch.setattr(verify, "command_report", recorded)
     argv = ["verify", "--seed", str(seed)] + ([] if tol is None else ["--tol", repr(tol)])
     code, text, err = run_cli(argv)
-    monkeypatch.setattr(cli, "_verify_report", report)
+    monkeypatch.setattr(verify, "command_report", report)
     assert err == ""
     return code, text, verify_records(reports[0].json_lines())
 
@@ -770,6 +770,18 @@ class TestVerifyWorkers:
         assert expected[0] == 1
         assert expected[1].endswith("verify: 17/21 invariants passed\n")
         assert verify_outputs(monkeypatch) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_run_checks_forks_nothing(self, processes, monkeypatch, n):
+        # the library API runs the CLI's check loop in one process, whatever
+        # the CPU count, and reports what the CLI reports at any count
+        forks = processes(4)
+        expected = verify_reference(4)
+        assert forks == []
+        processes(n)
+        assert verify_outputs(monkeypatch, 4) == expected
+        assert len(forks) == min(n, len(verify._CHECKS)) - 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["raises", "exits", "half-record"])

@@ -335,6 +335,17 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel(np.eye(2, dtype=complex))
 
+    def test_channels_compare_and_hash_by_identity(self):
+        # a field-wise __eq__ over the arrays raised "truth value of an array
+        # is ambiguous", and the generated __hash__ hashed an ndarray
+        first, second = error_channel(0.1, 0.2), error_channel(0.1, 0.2)
+        est = estimation_elements()
+        assert (first == first, first == second, first != second) == (True, False, True)
+        assert (est == est, est == first, est != first) == (True, False, True)
+        assert estimation_elements() == estimation_elements()
+        assert len({first, second, est, estimation_elements()}) == 3
+        assert hash(first) == hash(first)
+
     def test_apply_preserves_density(self):
         rng = np.random.default_rng(3)
         channels = [error_channel(rng.random(), rng.random()) for _ in range(5)]
