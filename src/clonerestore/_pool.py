@@ -1,8 +1,8 @@
 """Forked worker processes for the commands that split their work: an mc
 sweep and ``verify``. Only they import this module.
 
-A worker is forked with ``os`` alone, after the parent has loaded what the
-work needs, and sends its results back through its own pipe as raw bytes.
+A worker is forked with ``os`` alone and sends its results back through
+its own pipe as raw bytes.
 The parent does the work of any worker that could not start, died or sent
 too little, so the results never depend on the workers.
 """
@@ -63,7 +63,8 @@ def fork(work, inherited: list[int]) -> tuple[int, int] | None:
 def receive(started: dict, k: int, size: int) -> bytes | None:
     """Exactly ``size`` bytes from worker ``k`` of ``started`` (see ``workers``),
     or None if it is not there or its pipe ends first. The one rule for a
-    worker that fails: it is stopped, its pipe closed and it is removed."""
+    worker that fails: it is removed, its pipe closed, and it is stopped
+    and reaped."""
     data = b""
     while k in started and len(data) < size:
         pid, fd = started[k]
@@ -74,6 +75,7 @@ def receive(started: dict, k: int, size: int) -> bytes | None:
             del started[k]
             os.close(fd)
             stop(pid)
+            os.waitpid(pid, 0)
         data += chunk
     return data if len(data) == size else None
 
@@ -96,17 +98,16 @@ def stop(pid: int) -> None:
 def workers(count: int, work):
     """Fork workers 1 ... ``count``, worker k running ``work(k, fd)`` (see
     ``fork``), and yield a dict k -> (pid, pipe read end) of those that
-    started, to be read with ``receive``, which removes a failed one. On the
-    way out every pipe left is closed and every worker reaped, after it is
-    killed if the body raised.
+    started and have not failed, to be read with ``receive``, which reaps a
+    failed one. On the way out every pipe left is closed and every worker
+    left reaped, after it is killed if the body raised.
     """
-    started, pids = {}, []
+    started = {}
     try:
         for k in range(1, count + 1):
             worker = fork(functools.partial(work, k), [fd for _, fd in started.values()])
             if worker is not None:
                 started[k] = worker
-                pids.append(worker[0])
         yield started
     except BaseException:
         for pid, _ in started.values():
@@ -115,5 +116,5 @@ def workers(count: int, work):
     finally:
         for _, fd in started.values():
             os.close(fd)
-        for pid in pids:
+        for pid, _ in started.values():
             os.waitpid(pid, 0)

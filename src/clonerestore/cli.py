@@ -257,27 +257,27 @@ def _column_plan(args, phis: np.ndarray, mc_estimates):
     """The sweep's value columns after alpha2,phi, planned once per run:
     each evaluator's phi terms are computed here.
 
-    Returns ``columns(first_row, aa)``, the columns of the block of alpha2
-    rows ``aa``, shape (rows, 1), from ``first_row``, each of shape
-    (rows, n_phi). The first is the mode's evaluator, the column the
-    ``# average=`` line averages except in mc mode, where it is the third
-    (``f_mc``), from ``mc_estimates(first_row, vectors)`` (see ``_mc_pool``).
+    Returns ``columns(aa)``, the columns of the next block of alpha2 rows
+    ``aa``, shape (rows, 1), each of shape (rows, n_phi). The first is the
+    mode's evaluator, the column the ``# average=`` line averages except in
+    mc mode, where it is the third (``f_mc``), from ``mc_estimates()`` (see
+    ``_mc_pool``).
     """
     if args.mode == "baseline":
-        return lambda first_row, aa: [protocol.baseline_fidelity_plane(aa, phis)] * 2
+        return lambda aa: [protocol.baseline_fidelity_plane(aa, phis)] * 2
     analytic = protocol._analytic_rows(phis)
     if args.mode == "analytic":
-        return lambda first_row, aa: [analytic(aa)] * 2
+        return lambda aa: [analytic(aa)] * 2
     if args.mode == "mixed":
         mixed = _form_rows(protocol._form_bank()[4], phis)
-        return lambda first_row, aa: [mixed(aa), analytic(aa)]
+        return lambda aa: [mixed(aa), analytic(aa)]
     exact = _form_rows(protocol._exact_form(args.pbit, args.pph), phis)
     if args.mode == "exact":
-        return lambda first_row, aa: [exact(aa), analytic(aa)]
+        return lambda aa: [exact(aa), analytic(aa)]
 
-    def columns(first_row, aa):
+    def columns(aa):
         values = exact(aa)
-        means, stderrs = mc_estimates(first_row, state_vector(aa, phis).reshape(-1, 2))
+        means, stderrs = mc_estimates()
         return [values, analytic(aa), means.reshape(values.shape), stderrs.reshape(values.shape)]
     return columns
 
@@ -296,19 +296,20 @@ def _mc_processes(args) -> int:
 
 @contextmanager
 def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
-    """Yield ``mc_estimates(first_row, vectors)``: the Monte Carlo means and
-    standard errors of the states ``vectors`` of the block of rows from
-    ``first_row``, where point (i, j) draws from ``SeedSequence((seed, i, j))``.
+    """Yield ``mc_estimates()``: the Monte Carlo means and standard errors,
+    in row-major order, of the states of the next block of rows, where grid
+    point (i, j) draws from ``SeedSequence((seed, i, j))``.
 
-    A block's states, in row-major order, are split into contiguous
-    shares, one per process (``_mc_processes``). Worker k, forked here,
-    computes share k of every block in turn and sends its means and
-    standard errors through its own pipe as raw float64 bytes; the caller
-    computes share 0. A state's estimate does not depend on the states that
-    share its ``protocol.mc_estimates`` call, so the values do not depend on
-    the number of processes. The share of a worker that could not start,
-    died or sent too few bytes is computed by the caller, and no later
-    share is asked of it (see ``_pool.receive``).
+    A block's points, in row-major order, are split into contiguous shares,
+    one per process (``_mc_processes``); ``share`` builds the states and
+    generators of one share alone. Worker k, forked here, computes share k
+    of every block in turn and sends its means and standard errors through
+    its own pipe as raw float64 bytes; the caller computes share 0. A
+    state's estimate does not depend on the states that share its
+    ``protocol.mc_estimates`` call, so the values do not depend on the
+    number of processes. The share of a worker that could not start, died
+    or sent too few bytes is computed by the caller, and no later share is
+    asked of it (see ``_pool.receive``).
     """
     from . import _pool
 
@@ -317,27 +318,32 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
     # numpy.random is imported on first use: once here, not in each worker
     default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
 
-    def bounds(k, states):
-        return k * states // processes, (k + 1) * states // processes
+    def points(k, first_row):
+        # share k of the block from first_row: grid points p = i * n_phi + j
+        start, size = first_row * n_phi, min(_BLOCK_ROWS, len(alpha2s) - first_row) * n_phi
+        return range(start + k * size // processes, start + (k + 1) * size // processes)
 
-    def share(k, first_row, vectors):
-        lo, hi = bounds(k, len(vectors))
-        rngs = (default_rng(seed_sequence((args.seed, first_row + s // n_phi, s % n_phi)))
-                for s in range(lo, hi))
-        return protocol.mc_estimates(vectors[lo:hi], args.pbit, args.pph, args.trials, rngs)
+    def share(k, first_row):
+        p = points(k, first_row)
+        i, j = np.divmod(np.arange(p.start, p.stop), n_phi)
+        rngs = (default_rng(seed_sequence((args.seed, *divmod(q, n_phi)))) for q in p)
+        vectors = state_vector(alpha2s[i], phis[j])
+        return protocol.mc_estimates(vectors, args.pbit, args.pph, args.trials, rngs)
 
     def work(k, fd):
-        for lo in range(0, len(alpha2s), _BLOCK_ROWS):
-            vectors = state_vector(alpha2s[lo:lo + _BLOCK_ROWS, None], phis[None, :])
-            _pool.send(fd, np.concatenate(share(k, lo, vectors.reshape(-1, 2))))
+        for first_row in range(0, len(alpha2s), _BLOCK_ROWS):
+            _pool.send(fd, np.concatenate(share(k, first_row)))
 
-    def mc_estimates(first_row, vectors):
-        shares = [share(0, first_row, vectors)]
+    blocks = iter(range(0, len(alpha2s), _BLOCK_ROWS))
+
+    def mc_estimates():
+        first_row = next(blocks)
+        shares = [share(0, first_row)]
         for k in range(1, processes):
-            lo, hi = bounds(k, len(vectors))
-            data = _pool.receive(workers, k, 16 * (hi - lo))
-            shares.append(share(k, first_row, vectors) if data is None
-                          else np.frombuffer(data).reshape(2, hi - lo))
+            size = len(points(k, first_row))
+            data = _pool.receive(workers, k, 16 * size)
+            shares.append(share(k, first_row) if data is None
+                          else np.frombuffer(data).reshape(2, size))
         return np.concatenate(shares, axis=1)
 
     with _pool.workers(processes - 1, work) as workers:
@@ -367,7 +373,7 @@ def _write_sweep(args, fh) -> None:
         columns = _column_plan(args, phis, mc_estimates)
         for lo in range(0, len(alpha2s), _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            cols = columns(lo, alpha2s[rows, None])
+            cols = columns(alpha2s[rows, None])
             cols[2 if mc else 0].mean(axis=1, out=row_means[rows, 0])
             fh.write(_block_text(table, alpha_cells[rows], cols))
     average = protocol.grid_average(row_means)

@@ -25,7 +25,7 @@ from .core import (
     _read_only,
     make_pure,
 )
-from .linalg import ATOL, dagger, is_psd, is_unitary, nearest_unitary
+from .linalg import ATOL, _complex_array, dagger, is_psd, is_unitary, nearest_unitary
 
 _C_MAJOR = np.sqrt(2.0 / 3.0)   # weight of the copied component
 _C_MINOR = np.sqrt(1.0 / 6.0)   # weight of the cross terms
@@ -133,7 +133,7 @@ class EstimationChannel(KrausChannel):
 
     def __post_init__(self):
         super().__post_init__()
-        reversals = np.array(self.reversal_unitaries, dtype=complex)
+        reversals = np.array(_complex_array(self.reversal_unitaries))
         sqrt_effects = np.einsum("aji,ajk->aik", reversals.conj(), self.elements)
         for i in range(len(self)):
             if not is_unitary(reversals[i]):

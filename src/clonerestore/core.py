@@ -16,7 +16,15 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import ATOL, _may_overflow, _nonfinite_error, _overflow_guard, dagger
+from .linalg import (
+    ATOL,
+    _complex_array,
+    _may_overflow,
+    _nonfinite_error,
+    _overflow_guard,
+    _stack,
+    dagger,
+)
 
 # Amplitudes below this are treated as an exact zero when fixing the gauge.
 GAUGE_ATOL = 1e-12
@@ -84,7 +92,7 @@ class PureQubit:
         its first nonzero amplitude real and nonnegative. Raises ValueError
         for a zero vector, a non-finite entry or a norm that overflows.
         """
-        v = np.asarray(v, dtype=complex).reshape(2)
+        v = _complex_array(v).reshape(2)
         # the operations of np.linalg.norm and np.angle, without their wrappers
         re, im = v.real, v.imag
         a, b = abs(v[0]), abs(v[1])
@@ -190,12 +198,13 @@ def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
     root = math.sqrt(_check_finite(scale2, "scale2"))
     rows = []
     for ops in (a_ops, b_ops):
-        m = np.asarray(ops, dtype=complex)
-        if m.ndim < 2 or m.shape[-2:] != (2, 2):
-            raise ValueError("ops must have shape (..., 2, 2)")
-        c = np.einsum("nij,kji->nk", m.reshape(-1, 2, 2), _PAULI_BASIS) * root
+        m = _stack(ops, "ops").reshape(-1, 2, 2)
+        # a coefficient that overflows is not finite, and fails the test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.einsum("nij,kji->nk", m, _PAULI_BASIS) * root
         g = np.round(c)
-        if not np.all(np.abs(c - g) <= 1e-9):
+        # finite first: inf - round(inf) would warn
+        if not (np.isfinite(c).all() and np.all(np.abs(c - g) <= 1e-9)):
             raise ValueError("Pauli coefficients of ops times sqrt(scale2) are not Gaussian integers")
         # row k: the real, then the imaginary parts of c_nk over n, so the
         # sum over n of Re(conj(a_k) b_l) is a dot product of two rows
@@ -240,7 +249,7 @@ def _form_rows(form: np.ndarray, phi):
 
 def _check_rho(rho) -> np.ndarray:
     """rho as a complex array; ValueError unless it is a finite 2x2 array."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _complex_array(rho)
     if rho.shape != (2, 2) or not np.isfinite(rho).all():
         raise ValueError("rho must be a finite 2x2 array")
     return rho
@@ -280,7 +289,7 @@ def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     _check_count(keep, "keep", 1)
     if keep > 3:
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
-    state = np.asarray(state, dtype=complex)
+    state = _complex_array(state)
     if state.ndim == 0 or state.shape[-1] != 8:
         raise ValueError(f"state must have shape (..., 8), got {state.shape}")
     if _may_overflow(np.abs(state).max(initial=0.0)):
@@ -398,7 +407,7 @@ class KrausChannel:
     elements: np.ndarray
 
     def __post_init__(self):
-        elements = np.array(self.elements, dtype=complex)
+        elements = np.array(_complex_array(self.elements))
         if elements.ndim != 3 or elements.shape[1:] != (2, 2):
             raise ValueError("elements must have shape (k, 2, 2)")
         # NaN fails every comparison, so completeness alone would let it through
@@ -429,6 +438,9 @@ def error_channel(p_bit: float, p_ph: float) -> KrausChannel:
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_i E_i rho E_i^dag.
 
-    Raises ValueError unless rho is a finite 2x2 array.
+    Raises ValueError unless ch is a ``KrausChannel`` and rho a finite 2x2
+    array.
     """
+    if not isinstance(ch, KrausChannel):
+        raise ValueError(f"ch must be a KrausChannel, got {ch!r}")
     return np.einsum("aij,jk,alk->il", ch.elements, _check_rho(rho), ch.elements.conj())

@@ -10,7 +10,9 @@ stack, with a single matrix the one-element case of the same code.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
+from numbers import Real
 
 import numpy as np
 
@@ -36,15 +38,43 @@ def _overflow_guard(*magnitudes):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose; supports stacked (..., 2, 2) inputs."""
-    return np.asarray(a).conj().swapaxes(-1, -2)
+    """Conjugate transpose; supports stacked (..., 2, 2) inputs. ValueError
+    unless a is a numeric array of at least 2 dimensions."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.dtype.kind not in "biufc":
+        raise ValueError(f"a must be a numeric array of at least 2 dimensions, got {a!r}")
+    return a.conj().swapaxes(-1, -2)
 
 
-def _stack(a) -> np.ndarray:
-    """a as a complex array; ValueError unless it has shape (..., 2, 2)."""
-    a = np.asarray(a, dtype=complex)
+def _complex_array(a) -> np.ndarray:
+    """a as a complex array, the rule of ``core._real_array`` for real ones:
+    a real number beyond the double range, such as 10**400, becomes +-inf
+    where numpy raises OverflowError. The finiteness tests of its callers
+    then reject it."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except OverflowError:
+        entries = np.asarray(a, dtype=object)
+        return np.array([_inf_beyond_double(x) for x in entries.flat],
+                        dtype=complex).reshape(entries.shape)
+
+
+def _inf_beyond_double(x):
+    """+-inf for a real number beyond the double range, else x itself."""
+    if isinstance(x, Real):
+        try:
+            float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    return x
+
+
+def _stack(a, name: str = "matrix") -> np.ndarray:
+    """a as a complex array (``_complex_array``); ValueError naming ``name``
+    unless it has shape (..., 2, 2)."""
+    a = _complex_array(a)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
-        raise ValueError(f"matrix must have shape (..., 2, 2), got {a.shape}")
+        raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
     return a
 
 
@@ -78,7 +108,7 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     when the squared norm of a, b or a - b overflows; while those of a and
     b are finite, a - b is.
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = _complex_array(a), _complex_array(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError(f"a and b must be 2x2 matrices, got shapes {a.shape} and {b.shape}")
     _finite_norm2(a)
@@ -87,14 +117,14 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    a = np.asarray(a, dtype=complex)
+    a = _complex_array(a)
     # a - a^dag may overflow, but only where the two differ
     with _overflow_guard(np.abs(a).max()):
         return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:
-    a = np.asarray(a, dtype=complex)
+    a = _complex_array(a)
     if _may_overflow(np.abs(a).max()):
         return False    # a unitary's entries are at most 1; the product may overflow
     return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
@@ -106,7 +136,7 @@ def is_psd(a: np.ndarray) -> bool:
     A matrix with an entry above _SQUARE_MAX, whose square may overflow,
     is divided by its largest entry first, so there the test is relative.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _complex_array(a)
     if not is_hermitian(a):
         return False
     largest = np.abs(a).max()
@@ -209,10 +239,18 @@ def nearest_unitary(e: np.ndarray) -> np.ndarray:
     return u
 
 
+def _check_rng(rng) -> None:
+    """Raise ValueError unless rng is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+
+
 def haar_random_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-distributed 2x2 unitaries; shape (2, 2), or (size, 2, 2) for an integer size >= 0."""
+    """Haar-distributed 2x2 unitaries; shape (2, 2), or (size, 2, 2) for an integer size >= 0.
+    ValueError unless rng is a ``numpy.random.Generator``."""
     from .core import _check_count    # core imports this module
 
+    _check_rng(rng)
     if size is not None:
         _check_count(size, "size", 0)
     shape = (2, 2) if size is None else (size, 2, 2)
@@ -229,9 +267,11 @@ def random_invertible(rng: np.random.Generator, size: int | None = None) -> np.n
     The draws are those of ``size`` calls without it: a candidate takes 8
     normals, its real then its imaginary parts, and each round draws only
     as many candidates as are still wanted, so none is drawn past the last.
+    ValueError unless rng is a ``numpy.random.Generator``.
     """
     from .core import _check_count    # core imports this module
 
+    _check_rng(rng)
     if size is not None:
         _check_count(size, "size", 0)
     kept = [np.empty((0, 2, 2), dtype=complex)]

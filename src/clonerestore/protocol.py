@@ -39,7 +39,7 @@ from .core import (
     _real_array,
     error_probabilities,
 )
-from .linalg import dagger
+from .linalg import _complex_array, dagger
 
 
 def correction_unitary(alice: Outcome, bob: Outcome) -> np.ndarray:
@@ -415,9 +415,13 @@ def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
     tables of a chunk of states are built at its first draw.
     """
     _check_trials(trials)
-    v = np.asarray(vectors, dtype=complex)
+    v = _complex_array(vectors)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("vectors must have shape (N, 2)")
+    try:
+        rngs = iter(rngs)
+    except TypeError:
+        raise ValueError(f"rngs must be an iterable of generators, got {rngs!r}") from None
     m = np.abs(v)
     # a unit vector's entries are at most 1: tested first, no square overflows
     if not (np.all(m <= 1.0 + 1e-12) and np.all(np.abs(np.sum(m ** 2, axis=-1) - 1.0) <= 1e-12)):
@@ -477,9 +481,10 @@ def sample_branches(vectors, p_bit: float, p_ph: float, trials: int,
     The branch tables of a chunk of at most 48 consecutive vectors, a whole
     number of blocks, come from one contraction, so the tables in use do
     not grow with N; the draws depend on none of these sizes. The
-    arguments, ``trials`` from 1 to 2**53 included, are checked at the
-    call. A generator count other than N, or a generator on another bit
-    generator, raises ValueError when the generators are drawn from.
+    arguments, ``trials`` from 1 to 2**53 included and ``rngs`` an
+    iterable, are checked at the call. A generator count other than N, or
+    a generator on another bit generator, raises ValueError when the
+    generators are drawn from.
     """
     _, blocks = _branch_blocks(vectors, p_bit, p_ph, trials, rngs)
 

@@ -448,19 +448,6 @@ def _run_check(index: int, tol: float | None, seed: int) -> InvariantResult:
     return _result(index, tol, deviation, time.perf_counter() - start)
 
 
-def _load_shared() -> None:
-    """Import and build what several checks would each load on first use:
-    numpy.random, fractions (which loads decimal), the estimation elements
-    and the branch and form banks. Processes forked after this share them."""
-    import fractions  # noqa: F401
-    import numpy.random  # noqa: F401
-
-    cloning.estimation_elements()
-    protocol._branch_bank()
-    with suppress(ValueError):    # a correction rule with no exact form
-        protocol._form_bank()
-
-
 def run_checks(tol: float | None = None, seed: int = 0) -> VerifyReport:
     """Run every invariant check and collect the report.
 
@@ -487,14 +474,15 @@ def command_report(tol: float | None, seed: int, processes: int | None = None) -
 
     In one process, or where no queue pipe can be made, the indices are
     taken in order and nothing is forked. Otherwise they wait in one pipe,
-    a byte each, and ``processes - 1`` workers are forked after
-    ``_load_shared``; a worker sends each result back as a raw record of its
-    index, deviation and seconds. A check that no record reports, as a
-    worker could not start, died or sent a short record (``_pool.receive``),
-    is run here afterwards, in order, so the report does not depend on the
-    workers. A check that raises here stops this process taking more; its
-    exception is raised once the unreported checks before it have run, so
-    it is the one a single process would meet first.
+    a byte each, and ``processes - 1`` workers are forked at once, each
+    process loading what its own checks use; a worker sends each result
+    back as a raw record of its index, deviation and seconds. A check that
+    no record reports, as a worker could not start, died or sent a short
+    record (``_pool.receive``), is run here afterwards, in order, so the
+    report does not depend on the workers. A check that raises here stops
+    this process taking more; its exception is raised once the unreported
+    checks before it have run, so it is the one a single process would
+    meet first.
     """
     from . import _pool
 
@@ -503,7 +491,6 @@ def command_report(tol: float | None, seed: int, processes: int | None = None) -
     checks, record = len(_CHECKS), struct.Struct("=Bdd")
     indices, queue = iter(range(checks)), None
     if processes > 1:
-        _load_shared()
         with suppress(OSError):    # no descriptor left: no worker could start either
             queue, end = os.pipe()
     if queue is not None:

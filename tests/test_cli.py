@@ -547,6 +547,24 @@ def processes(monkeypatch):
     return force
 
 
+def test_pool_receive_reaps_the_worker_it_stops():
+    # worker 1 sends half of its 4 bytes, worker 2 nothing: each is gone
+    # from the dict of workers, and from this process's children, as soon
+    # as receive returns None
+    def work(k, fd):
+        if k == 1:
+            _pool.send(fd, b"ab")
+
+    with _pool.workers(2, work) as started:
+        for k in (1, 2):
+            pid = started[k][0]
+            assert _pool.receive(started, k, 4) is None
+            assert k not in started
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    assert_no_child_left()
+
+
 class TestMcWorkers:
     """The mc sweep shares each block's states with forked workers; the bytes,
     the exit code and the processes left do not depend on them."""
@@ -584,6 +602,31 @@ class TestMcWorkers:
 
     ARGV = ["sweep", "--mode", "mc", "--grid-alpha", "11", "--grid-phi", "7", "--trials", "300",
             "--seed", "5", "--pbit", "0.3", "--pph", "0.6"]
+
+    def test_parent_builds_only_its_own_share(self, processes, monkeypatch):
+        # at 2 processes the parent builds the states of share 0 of each
+        # block, the first half of its points in row-major order, and no other
+        parent, built = os.getpid(), []
+        build = cli.state_vector
+
+        def recorded(alpha2, phi):
+            if os.getpid() == parent:
+                built.append((np.asarray(alpha2).tolist(), np.asarray(phi).tolist()))
+            return build(alpha2, phi)
+
+        monkeypatch.setattr(cli, "state_vector", recorded)
+        forks = processes(2)
+        code, out, err = run_cli(self.ARGV)
+        assert (code, err) == (0, "")
+        assert len(forks) == 1
+        assert_no_child_left()
+        alpha2s, phis = protocol.alpha2_grid(11), protocol.phi_grid(7)
+        expected = []
+        for first_row in range(0, 11, cli._BLOCK_ROWS):
+            size = min(cli._BLOCK_ROWS, 11 - first_row) * 7
+            i, j = np.divmod(np.arange(first_row * 7, first_row * 7 + size // 2), 7)
+            expected.append((alpha2s[i].tolist(), phis[j].tolist()))
+        assert built == expected
 
     def test_failed_worker_leaves_the_bytes(self, processes, monkeypatch):
         # every worker raises: the parent computes their shares itself
