@@ -1,5 +1,6 @@
 """Forked worker processes for the commands that split their work: an mc
-sweep and ``verify``. Only they import this module.
+sweep (``sweep._mc_pool``) and ``verify`` (``verify.command_report``).
+Only those functions import this module, so no other command compiles it.
 
 A worker is forked with ``os`` alone and sends its results back through
 its own pipe as raw bytes.

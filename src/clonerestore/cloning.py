@@ -149,11 +149,11 @@ def estimation_elements() -> EstimationChannel:
     """The four-outcome estimation channel and its reversal unitaries.
 
     The closed-form elements are validated against the constructive
-    projective route on every first call.
+    projective route on every first call; ValueError if they disagree.
     """
     constructed = elements_from_cloner()
     if np.max(np.abs(constructed - _ELEMENTS)) > ATOL:
-        raise RuntimeError("closed-form elements disagree with the projective construction")
+        raise ValueError("closed-form elements disagree with the projective construction")
     return EstimationChannel(_ELEMENTS, nearest_unitary(_ELEMENTS))
 
 

@@ -217,7 +217,9 @@ def _check_sampling_frequencies(rng):
     _, (counts,) = protocol.branch_counts(ket0, 0.1, 0.2, n, (rng,))
     table = counts.reshape(4, 4, 4)    # (alice, error, bob)
     counts = np.concatenate([table.sum(axis=(1, 2)), table.sum(axis=(0, 2))])
-    probs = np.concatenate([[1 / 3, 1 / 6, 1 / 3, 1 / 6], core.error_probabilities(0.1, 0.2)])
+    # Alice's outcomes at |0>, then I, X, Z, XZ at (0.1, 0.2), written out:
+    # error_probabilities, which the sampler uses, is not its own reference
+    probs = np.array([1 / 3, 1 / 6, 1 / 3, 1 / 6, 18 / 25, 2 / 25, 9 / 50, 1 / 50])
     sigma = np.sqrt(probs * (1 - probs) / n)
     return float(np.max(np.abs(counts / n - probs) / sigma))
 

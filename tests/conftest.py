@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from clonerestore import protocol
+from clonerestore import cloning, protocol
 from clonerestore.core import ErrorType
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -50,4 +50,18 @@ def swapped_rule(monkeypatch):
     _clear_bank_caches()
     yield _exchanged_rule
     monkeypatch.undo()
+    _clear_bank_caches()
+
+
+@pytest.fixture
+def broken_cloner(monkeypatch):
+    """Fault: the cloner's cross-term weight off by one part in 10**6, so
+    its construction no longer matches the closed-form elements. The cached
+    channel and branch banks are rebuilt under the fault and after it."""
+    monkeypatch.setattr(cloning, "_C_MINOR", cloning._C_MINOR * (1 + 1e-6))
+    cloning.estimation_elements.cache_clear()
+    _clear_bank_caches()
+    yield
+    monkeypatch.undo()
+    cloning.estimation_elements.cache_clear()
     _clear_bank_caches()

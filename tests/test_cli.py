@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonerestore import _pool, cli, core, protocol, verify
+from clonerestore import _pool, cli, core, protocol, sweep, verify
 from clonerestore.cli import main
 from clonerestore.core import make_pure
 from clonerestore.verify import run_checks
@@ -89,10 +89,10 @@ def near_ties(values):
 
 
 def cell_texts(values):
-    """The texts of cli._format_cells, checking that each is padded with spaces
+    """The texts of sweep._format_cells, checking that each is padded with spaces
     and has none of its own."""
-    chars = cli._format_cells(values)
-    assert chars.shape == (len(values), cli._CELL_WIDTH)
+    chars = sweep._format_cells(values)
+    assert chars.shape == (len(values), sweep._CELL_WIDTH)
     texts = [bytes(row).decode("ascii").rstrip(" ") for row in chars]
     assert not any(" " in text for text in texts)
     return texts
@@ -133,8 +133,8 @@ class TestFormatCells:
         assert cell_texts([value]) == [format(value, ".12g")]
 
     def test_digit_tables_are_built_on_first_use(self, run_python):
-        script = ("import clonerestore.cli as cli\n"
-                  "print(cli._digit_groups.cache_info().currsize)\n")
+        script = ("import clonerestore.sweep as sweep\n"
+                  "print(sweep._digit_groups.cache_info().currsize)\n")
         proc = run_python("-c", script, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 
@@ -183,10 +183,22 @@ GOLDEN_IDS = ["sweep-exact", "sweep-analytic", "sweep-mixed", "sweep-baseline", 
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
-def test_golden_bytes(argv, digest):
+def test_golden_bytes(tmp_path, argv, digest):
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    if argv[0] == "sweep":
+        # run_cli's stdout is text, with no binary buffer: the sweep writes
+        # bytes to a file and to a stdout that has one
+        target = tmp_path / "sweep.csv"
+        assert argv[-2:] == ["--out", "-"]
+        code, out, err = run_cli(argv[:-1] + [str(target)])
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="")
+        with redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert hashlib.sha256(stdout.buffer.getvalue()).hexdigest() == digest
 
 
 class TestSweep:
@@ -238,7 +250,7 @@ class TestSweep:
                                                n_phi, extra):
         # expected_sweep averages the whole grid at once, the writer the
         # row means of its blocks
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
         argv = ["sweep", "--mode", mode, "--grid-alpha", str(n_alpha), "--grid-phi", str(n_phi)]
         for key, value in extra.items():
             argv += [f"--{key}", str(value)]
@@ -261,7 +273,7 @@ class TestSweep:
 
         for module in (core, protocol):
             monkeypatch.setattr(module, "_check_phi", counted)
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
         code, out, err = run_cli(["sweep", "--mode", "exact", "--grid-alpha", str(n_alpha),
                                   "--grid-phi", "7", "--pbit", "0.3", "--pph", "0.6"])
         assert (code, out, err) == (0, expected, "")
@@ -287,8 +299,8 @@ class TestSweep:
         # concurrent.futures and subprocess
         script = (
             "import contextlib, io, os, sys\n"
-            "from clonerestore import _pool, cli\n"
-            "_pool.cpus, cli._FORK_TRIALS = (lambda: 2), 0\n"
+            "from clonerestore import _pool, cli, sweep\n"
+            "_pool.cpus, sweep._FORK_TRIALS = (lambda: 2), 0\n"
             "fork, forks = os.fork, []\n"
             "os.fork = lambda: forks.append(None) or fork()\n"
             "for argv in [['sweep', '--mode', mode, '--grid-alpha', '3', '--grid-phi', '2',"
@@ -316,6 +328,20 @@ class TestSweep:
             proc = run_python("-c", script, *argv, capture_output=True, text=True)
             assert (proc.returncode, proc.stderr) == (0, "")
             assert proc.stdout.split() == ["False"] * 5 + ["True"]
+
+    def test_only_the_sweep_imports_its_writer(self, run_python):
+        # mc and verify never compile the sweep's formatter, table and pool
+        script = (
+            "import contextlib, io, sys\n"
+            "from clonerestore import cli\n"
+            "for argv in [['mc', '--trials', '100'], ['verify'],"
+            " ['sweep', '--grid-alpha', '2', '--grid-phi', '1']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "    print('clonerestore.sweep' in sys.modules)\n")
+        proc = run_python("-c", script, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == ["False", "False", "True"]
 
     def test_analytic_two_by_two(self):
         code, out, _ = run_cli(["sweep", "--grid-alpha", "2", "--grid-phi", "2",
@@ -375,7 +401,7 @@ class TestSweep:
         assert target.read_bytes() == expected.encode("ascii")
 
     def test_failed_write_leaves_no_old_tail(self, tmp_path, monkeypatch):
-        block_text = cli._block_text
+        block_text = sweep._block_text
         blocks = []
 
         def fail_after_one_block(*args):
@@ -388,7 +414,7 @@ class TestSweep:
         _, expected, _ = run_cli(argv + ["--out", "-"])
         target = tmp_path / "sweep.csv"
         target.write_bytes(expected.encode("ascii") * 2)
-        monkeypatch.setattr(cli, "_block_text", fail_after_one_block)
+        monkeypatch.setattr(sweep, "_block_text", fail_after_one_block)
         code, out, err = run_cli(argv + ["--out", str(target)])
         assert (code, out) == (2, "")
         assert "cannot write" in err
@@ -408,14 +434,14 @@ class TestSweep:
         _, expected, _ = run_cli(argv)
         script = (
             "import os, signal, sys\n"
-            "from clonerestore import cli\n"
-            "block_text, calls = cli._block_text, []\n"
+            "from clonerestore import cli, sweep\n"
+            "block_text, calls = sweep._block_text, []\n"
             "def kill_on_second_block(*args):\n"
             "    calls.append(None)\n"
             "    if len(calls) > 1:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return block_text(*args)\n"
-            "cli._block_text = kill_on_second_block\n"
+            "sweep._block_text = kill_on_second_block\n"
             "cli.main(sys.argv[1:])\n")
         proc = run_python("-c", script, *argv, "--out", str(target), capture_output=True)
         assert proc.returncode == -signal.SIGKILL
@@ -542,7 +568,7 @@ def processes(monkeypatch):
 
     def force(n):
         monkeypatch.setattr(_pool, "cpus", lambda: n)
-        monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
+        monkeypatch.setattr(sweep, "_FORK_TRIALS", 0)
         return forks
     return force
 
@@ -577,7 +603,7 @@ class TestMcWorkers:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
         args = cli.build_parser().parse_args(argv)
-        assert len(forks) == min(n, min(cli._BLOCK_ROWS, args.grid_alpha) * args.grid_phi) - 1
+        assert len(forks) == min(n, min(sweep._BLOCK_ROWS, args.grid_alpha) * args.grid_phi) - 1
         assert_no_child_left()
 
     # one block; fewer states in a block than processes; a partial last
@@ -597,7 +623,7 @@ class TestMcWorkers:
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == expected_sweep("mc", n_alpha, n_phi, **extra)
-        assert len(forks) == min(n, min(cli._BLOCK_ROWS, n_alpha) * n_phi) - 1
+        assert len(forks) == min(n, min(sweep._BLOCK_ROWS, n_alpha) * n_phi) - 1
         assert_no_child_left()
 
     ARGV = ["sweep", "--mode", "mc", "--grid-alpha", "11", "--grid-phi", "7", "--trials", "300",
@@ -607,14 +633,14 @@ class TestMcWorkers:
         # at 2 processes the parent builds the states of share 0 of each
         # block, the first half of its points in row-major order, and no other
         parent, built = os.getpid(), []
-        build = cli.state_vector
+        build = core.state_vector
 
         def recorded(alpha2, phi):
             if os.getpid() == parent:
                 built.append((np.asarray(alpha2).tolist(), np.asarray(phi).tolist()))
             return build(alpha2, phi)
 
-        monkeypatch.setattr(cli, "state_vector", recorded)
+        monkeypatch.setattr(core, "state_vector", recorded)
         forks = processes(2)
         code, out, err = run_cli(self.ARGV)
         assert (code, err) == (0, "")
@@ -622,8 +648,8 @@ class TestMcWorkers:
         assert_no_child_left()
         alpha2s, phis = protocol.alpha2_grid(11), protocol.phi_grid(7)
         expected = []
-        for first_row in range(0, 11, cli._BLOCK_ROWS):
-            size = min(cli._BLOCK_ROWS, 11 - first_row) * 7
+        for first_row in range(0, 11, sweep._BLOCK_ROWS):
+            size = min(sweep._BLOCK_ROWS, 11 - first_row) * 7
             i, j = np.divmod(np.arange(first_row * 7, first_row * 7 + size // 2), 7)
             expected.append((alpha2s[i].tolist(), phis[j].tolist()))
         assert built == expected
@@ -676,7 +702,7 @@ class TestMcWorkers:
     ], ids=["no-space", "broken-pipe", "out-of-memory", "interrupt"])
     def test_failed_sweep_reaps_its_workers(self, tmp_path, processes, monkeypatch, error, code):
         # the mc copy of TestSweep.test_failed_write_leaves_no_old_tail
-        block_text = cli._block_text
+        block_text = sweep._block_text
         blocks = []
 
         def fail_after_one_block(*args):
@@ -688,7 +714,7 @@ class TestMcWorkers:
         _, expected, _ = run_cli(self.ARGV)
         target = tmp_path / "sweep.csv"
         target.write_bytes(expected.encode("ascii") * 2)
-        monkeypatch.setattr(cli, "_block_text", fail_after_one_block)
+        monkeypatch.setattr(sweep, "_block_text", fail_after_one_block)
         forks = processes(2)
         argv = self.ARGV + ["--out", str(target)]
         if code is None:
@@ -710,7 +736,7 @@ class TestMcWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(_pool, "cpus", lambda: 1 if case == "one-cpu" else 4)
         if case != "small":
-            monkeypatch.setattr(cli, "_FORK_TRIALS", 0)
+            monkeypatch.setattr(sweep, "_FORK_TRIALS", 0)
         argv = ["sweep", "--mode", "mc", "--grid-alpha", "5", "--grid-phi", "3", "--trials", "20"]
         done = threading.Event()
         thread = threading.Thread(target=done.wait, args=(60,))
@@ -731,11 +757,11 @@ class TestMcWorkers:
         args = cli.build_parser().parse_args(["sweep", "--mode", "mc", "--grid-alpha", "51",
                                               "--grid-phi", "51", "--trials", "2000"])
         monkeypatch.setattr(_pool, "cpus", lambda: 2)
-        assert cli._mc_processes(args) == 2
+        assert sweep._mc_processes(args) == 2
         monkeypatch.setattr(_pool, "cpus", lambda: 64)
-        assert cli._mc_processes(args) == 64
+        assert sweep._mc_processes(args) == 64
         args.grid_phi, args.trials = 1, 2
-        assert cli._mc_processes(args) == 1
+        assert sweep._mc_processes(args) == 1
 
 
 def verify_records(lines):
@@ -1081,6 +1107,47 @@ class TestVerify:
         failed = {r.name: r.deviation for r in report.results if not r.passed}
         assert list(failed) == ["measurement-sampling-frequencies"]
         assert failed["measurement-sampling-frequencies"] > 100
+
+    def test_swapped_rates_detected(self, monkeypatch):
+        # the bit and phase rates exchanged: no fidelity depends on them, so
+        # only the drawn error frequencies, against their written-out
+        # values, can show it
+        probabilities = core.error_probabilities
+        for module in (core, protocol):
+            monkeypatch.setattr(module, "error_probabilities",
+                                lambda p_bit, p_ph: probabilities(p_ph, p_bit))
+        report = run_checks()
+        failed = [r.name for r in report.results if not r.passed]
+        assert failed == ["measurement-sampling-frequencies"]
+
+    def test_broken_cloner_fails_without_traceback(self, broken_cloner):
+        # estimation_elements raises ValueError, so every check that needs
+        # the channel fails with inf, and verify reports rather than raises
+        code, out, err = run_cli(["verify"])
+        assert (code, err) == (1, "")
+        failed = [line.split()[1:3] for line in out.split("\n") if line.startswith("FAIL")]
+        assert failed == [
+            ["reversal-set-matches-nearest-unitary", "dev=inf"],
+            ["nearest-unitary-minimality", "dev=inf"],
+            ["reversal-composition-psd", "dev=inf"],
+            ["channel-completeness", "dev=inf"],
+            ["channel-preserves-density", "dev=inf"],
+            ["measurement-sampling-frequencies", "z=inf"],
+            ["elements-projective-construction", "dev=inf"],
+            ["clone-symmetry-and-fidelity", "dev=6.667e-07"],
+            ["outcome-probability-marginals", "dev=inf"],
+            ["stored-reversals-recompute", "dev=inf"],
+            ["reversal-benefit-floor", "dev=inf"],
+            ["quadrant-preservation", "dev=inf"],
+            ["error-rate-independence", "dev=inf"],
+            ["exact-analytic-mixed-agreement", "dev=inf"],
+            ["outcome-agreement-identities", "dev=inf"],
+            ["fidelity-floor-and-exceptions", "dev=inf"],
+            ["plane-averages", "dev=inf"],
+            ["monte-carlo-consistency", "z=inf"],
+            ["sweep-exact-mixed-columns", "dev=inf"],
+        ]
+        assert out.endswith("verify: 2/21 invariants passed\n")
 
     # runs after test_swapped_rule_detected, so it also checks that the
     # fixture's teardown restores the rule and rebuilds the branch banks
