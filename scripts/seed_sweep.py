@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 
-from clonerestore import verify
+from clonerestore import protocol, verify
 
 # 4 outcomes and 4 channel errors in measurement-sampling-frequencies,
 # 5 states in monte-carlo-consistency
@@ -32,7 +32,7 @@ def main(first: int, stop: int) -> int:
                 kind, unit = ("statistical", "z") if r.statistical else ("deterministic", "dev")
                 print(f"FAIL  seed={seed}  {kind}  {r.name}  {unit}={r.deviation:.3e}  "
                       f"tol={r.tolerance:.1e}", flush=True)
-    rate = GATES * math.erfc(4 / math.sqrt(2))
+    rate = GATES * math.erfc(protocol.Z_GATE / math.sqrt(2))
     print(f"seeds {first}..{stop - 1}: {failed[False]} deterministic failures; "
           f"{failed[True]} statistical failures, about {(stop - first) * rate:.1f} expected "
           f"at {rate:.1e} per seed")

@@ -127,8 +127,8 @@ def cmd_mc(args) -> int:
     print(f"stderr={_fmt(stderr)}")
     print(f"exact={_fmt(exact)}")
     print(f"z={_fmt(z)}")
-    ok = abs(z) <= 4.0
-    print("PASS (|z| <= 4)" if ok else "FAIL (|z| > 4)")
+    ok = abs(z) <= protocol.Z_GATE
+    print(f"PASS (|z| <= {protocol.Z_GATE:g})" if ok else f"FAIL (|z| > {protocol.Z_GATE:g})")
     return 0 if ok else 1
 
 

@@ -133,13 +133,14 @@ class EstimationChannel(KrausChannel):
 
     def __post_init__(self):
         super().__post_init__()
-        reversals = np.array(_complex_array(self.reversal_unitaries))
+        reversals = np.array(_complex_array(self.reversal_unitaries, "reversal_unitaries",
+                                            (len(self), 2, 2)))
         sqrt_effects = np.einsum("aji,ajk->aik", reversals.conj(), self.elements)
         for i in range(len(self)):
             if not is_unitary(reversals[i]):
-                raise ValueError(f"reversal matrix {i} is not unitary")
+                raise ValueError(f"reversal_unitaries[{i}] is not unitary")
             if not is_psd(sqrt_effects[i]):
-                raise ValueError(f"reversal {i} does not leave a PSD factor")
+                raise ValueError(f"reversal_unitaries[{i}] does not leave a PSD factor")
         object.__setattr__(self, "reversal_unitaries", _read_only(reversals))
         object.__setattr__(self, "sqrt_effects", _read_only(sqrt_effects))
 

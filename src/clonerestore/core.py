@@ -22,7 +22,6 @@ from .linalg import (
     _may_overflow,
     _nonfinite_error,
     _overflow_guard,
-    _stack,
     dagger,
 )
 
@@ -90,16 +89,16 @@ class PureQubit:
 
         The vector is renormalized and multiplied by the phase that makes
         its first nonzero amplitude real and nonnegative. Raises ValueError
-        for a zero vector, a non-finite entry or a norm that overflows.
+        for another shape than (2,), a zero vector, a non-finite entry or an overflowing norm.
         """
-        v = _complex_array(v).reshape(2)
+        v = _complex_array(v, "v", (2,))
         # the operations of np.linalg.norm and np.angle, without their wrappers
         re, im = v.real, v.imag
         a, b = abs(v[0]), abs(v[1])
         with _overflow_guard(a, b):
             n = math.sqrt(re.dot(re) + im.dot(im))
         if not math.isfinite(n):
-            raise _nonfinite_error(v, "vector")
+            raise _nonfinite_error(v, "v")
         if n <= GAUGE_ATOL:
             raise ValueError("cannot canonicalize a zero vector")
         a /= n
@@ -198,7 +197,7 @@ def _form_numerators(a_ops, b_ops, scale2: int) -> list[list[int]]:
     root = math.sqrt(_check_finite(scale2, "scale2"))
     rows = []
     for ops in (a_ops, b_ops):
-        m = _stack(ops, "ops").reshape(-1, 2, 2)
+        m = _complex_array(ops, "ops", (..., 2, 2)).reshape(-1, 2, 2)
         # a coefficient that overflows is not finite, and fails the test below
         with np.errstate(over="ignore", invalid="ignore"):
             c = np.einsum("nij,kji->nk", m, _PAULI_BASIS) * root
@@ -249,8 +248,8 @@ def _form_rows(form: np.ndarray, phi):
 
 def _check_rho(rho) -> np.ndarray:
     """rho as a complex array; ValueError unless it is a finite 2x2 array."""
-    rho = _complex_array(rho)
-    if rho.shape != (2, 2) or not np.isfinite(rho).all():
+    rho = _complex_array(rho, "rho", (2, 2))
+    if not np.isfinite(rho).all():
         raise ValueError("rho must be a finite 2x2 array")
     return rho
 
@@ -289,9 +288,7 @@ def reduce_qubit(state: np.ndarray, keep: int) -> np.ndarray:
     _check_count(keep, "keep", 1)
     if keep > 3:
         raise ValueError(f"keep must be 1, 2, or 3, got {keep}")
-    state = _complex_array(state)
-    if state.ndim == 0 or state.shape[-1] != 8:
-        raise ValueError(f"state must have shape (..., 8), got {state.shape}")
+    state = _complex_array(state, "state", (..., 8))
     if _may_overflow(np.abs(state).max(initial=0.0)):
         raise ValueError("state entries must be finite and at most 1e150")
     # rows: the kept qubit; columns: the other two, in order
@@ -407,9 +404,7 @@ class KrausChannel:
     elements: np.ndarray
 
     def __post_init__(self):
-        elements = np.array(_complex_array(self.elements))
-        if elements.ndim != 3 or elements.shape[1:] != (2, 2):
-            raise ValueError("elements must have shape (k, 2, 2)")
+        elements = np.array(_complex_array(self.elements, "elements", ("k", 2, 2)))
         # NaN fails every comparison, so completeness alone would let it through
         if not np.isfinite(elements).all():
             raise ValueError("elements must be finite")

@@ -46,17 +46,36 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _complex_array(a) -> np.ndarray:
-    """a as a complex array, the rule of ``core._real_array`` for real ones:
-    a real number beyond the double range, such as 10**400, becomes +-inf
-    where numpy raises OverflowError. The finiteness tests of its callers
-    then reject it."""
+def _complex_array(a, name: str, shape: tuple | None = None) -> np.ndarray:
+    """The argument ``name``, a, as a complex array; ValueError naming it
+    where numpy cannot convert it, such as a string entry, or, given
+    ``shape``, where its shape does not match: a size, a letter for any
+    size, and a leading ``...`` for any number of leading axes. A real
+    number beyond the double range, such as 10**400, becomes +-inf where
+    numpy raises OverflowError, the rule of ``core._real_array`` for real
+    ones; the finiteness tests of the callers then reject it."""
     try:
-        return np.asarray(a, dtype=complex)
-    except OverflowError:
-        entries = np.asarray(a, dtype=object)
-        return np.array([_inf_beyond_double(x) for x in entries.flat],
-                        dtype=complex).reshape(entries.shape)
+        try:
+            a = np.asarray(a, dtype=complex)
+        except OverflowError:
+            entries = np.asarray(a, dtype=object)
+            a = np.array([_inf_beyond_double(x) for x in entries.flat],
+                         dtype=complex).reshape(entries.shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of complex numbers: {exc}") from None
+    if shape is not None and a.shape != shape and not _fits(a.shape, shape):
+        sizes = ", ".join("..." if s is ... else str(s) for s in shape)
+        raise ValueError(f"{name} must have shape ({sizes}{',' * (len(shape) == 1)}), "
+                         f"got {a.shape}")
+    return a
+
+
+def _fits(actual: tuple, shape: tuple) -> bool:
+    """Whether the shape ``actual`` matches ``shape`` as ``_complex_array`` reads it."""
+    if shape[0] is ...:
+        shape, actual = shape[1:], actual[max(len(actual) - len(shape) + 1, 0):]
+    return len(actual) == len(shape) and all(isinstance(s, str) or s == n
+                                               for s, n in zip(shape, actual))
 
 
 def _inf_beyond_double(x):
@@ -69,21 +88,12 @@ def _inf_beyond_double(x):
     return x
 
 
-def _stack(a, name: str = "matrix") -> np.ndarray:
-    """a as a complex array (``_complex_array``); ValueError naming ``name``
-    unless it has shape (..., 2, 2)."""
-    a = _complex_array(a)
-    if a.ndim < 2 or a.shape[-2:] != (2, 2):
-        raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
-    return a
-
-
 def det2(a: np.ndarray) -> np.complex128 | np.ndarray:
     """Determinant of a 2x2 matrix, or of each matrix of a (..., 2, 2)
     stack; ValueError where one is not finite. The products are written out
     in real and imaginary parts, in the order Python's complex product takes
     them: numpy's complex multiply fuses them and rounds differently."""
-    a = _stack(a)
+    a = _complex_array(a, "a", (..., 2, 2))
     (r00, r01), (r10, r11) = np.moveaxis(a.real, (-2, -1), (0, 1))
     (i00, i01), (i10, i11) = np.moveaxis(a.imag, (-2, -1), (0, 1))
     det = np.empty(a.shape[:-2], dtype=complex)
@@ -108,23 +118,21 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     when the squared norm of a, b or a - b overflows; while those of a and
     b are finite, a - b is.
     """
-    a, b = _complex_array(a), _complex_array(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"a and b must be 2x2 matrices, got shapes {a.shape} and {b.shape}")
-    _finite_norm2(a)
-    _finite_norm2(b)
-    return float(np.sqrt(_finite_norm2(a - b)))
+    a, b = _complex_array(a, "a", (2, 2)), _complex_array(b, "b", (2, 2))
+    _finite_norm2(a, "a")
+    _finite_norm2(b, "b")
+    return float(np.sqrt(_finite_norm2(a - b, "a - b")))
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    a = _complex_array(a)
+    a = _complex_array(a, "a")
     # a - a^dag may overflow, but only where the two differ
     with _overflow_guard(np.abs(a).max()):
         return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
 def is_unitary(a: np.ndarray) -> bool:
-    a = _complex_array(a)
+    a = _complex_array(a, "a")
     if _may_overflow(np.abs(a).max()):
         return False    # a unitary's entries are at most 1; the product may overflow
     return bool(np.max(np.abs(dagger(a) @ a - IDENTITY)) <= ATOL)
@@ -136,7 +144,7 @@ def is_psd(a: np.ndarray) -> bool:
     A matrix with an entry above _SQUARE_MAX, whose square may overflow,
     is divided by its largest entry first, so there the test is relative.
     """
-    a = _complex_array(a)
+    a = _complex_array(a, "a")
     if not is_hermitian(a):
         return False
     largest = np.abs(a).max()
@@ -148,27 +156,28 @@ def is_psd(a: np.ndarray) -> bool:
     return bool(tr / 2.0 - np.sqrt(disc) >= -ATOL)
 
 
-def _nonfinite_error(a: np.ndarray, what: str) -> ValueError:
-    """The error for an array ``what`` whose norm was found not finite.
+def _nonfinite_error(a: np.ndarray, name: str) -> ValueError:
+    """The error for the argument ``name``, a, whose norm was found not finite.
 
     A square is never negative, so a NaN or infinite entry always makes
     the norm non-finite; otherwise the norm overflowed.
     """
     if np.isfinite(a).all():
-        return ValueError(f"{what} norm overflows")
-    return ValueError(f"{what} must be finite")
+        return ValueError(f"{name} norm overflows")
+    return ValueError(f"{name} must be finite")
 
 
-def _finite_norm2(a: np.ndarray) -> float | np.ndarray:
+def _finite_norm2(a: np.ndarray, name: str) -> float | np.ndarray:
     """Squared Frobenius norm of a 2x2 matrix, or of each matrix of a stack.
 
-    Raises ValueError for a non-finite entry or a norm that overflows.
+    Raises ValueError naming ``name`` for a non-finite entry or a norm that
+    overflows.
     """
     m = np.abs(a)
     with _overflow_guard(m.max(initial=0.0)):
         norm2 = np.sum(m ** 2, axis=(-2, -1))
     if not np.isfinite(norm2).all():
-        raise _nonfinite_error(a, "matrix")
+        raise _nonfinite_error(a, name)
     return norm2
 
 
@@ -183,8 +192,8 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     overflows, which no PSD matrix has; a stack raises the error of a
     matrix that raises one alone.
     """
-    a = _stack(a)
-    _finite_norm2(a)
+    a = _complex_array(a, "a", (..., 2, 2))
+    _finite_norm2(a, "a")
     det = det2(a).real
     s = np.sqrt(np.where(0.0 > det, 0.0, det))    # max(det, 0.0), -0.0 kept
     tr = (a[..., 0, 0] + a[..., 1, 1]).real
@@ -211,8 +220,8 @@ def polar_decompose(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one; and for a non-finite entry or a norm that overflows. A stack
     raises the error of a matrix that raises one alone.
     """
-    e = _stack(e)
-    norm2 = _finite_norm2(e)
+    e = _complex_array(e, "e", (..., 2, 2))
+    norm2 = _finite_norm2(e, "e")
     det = det2(e)
     mag = _modulus(det)
     if np.any(mag <= ATOL):

@@ -268,6 +268,10 @@ def bloch_form(ops, scale2: int) -> np.ndarray:
     return np.array([[Fraction(n, 8 * int(scale2)) for n in row] for row in num], dtype=object)
 
 
+# The gate on |z_score|: mc's PASS line, verify's statistical checks and the seed sweep
+Z_GATE = 4.0
+
+
 def z_score(mean: float, stderr: float, exact: float) -> float:
     """z-score of a Monte Carlo mean against ``exact``; with a zero
     standard error, 0 if the mean equals ``exact`` to 1e-12, else inf.
@@ -415,9 +419,7 @@ def _branch_blocks(vectors, p_bit: float, p_ph: float, trials: int,
     tables of a chunk of states are built at its first draw.
     """
     _check_trials(trials)
-    v = _complex_array(vectors)
-    if v.ndim != 2 or v.shape[1] != 2:
-        raise ValueError("vectors must have shape (N, 2)")
+    v = _complex_array(vectors, "vectors", ("N", 2))
     try:
         rngs = iter(rngs)
     except TypeError:

@@ -176,15 +176,14 @@ def _block_text(table: np.ndarray, alpha_cells: np.ndarray, cols: list[np.ndarra
     return text
 
 
-def _column_plan(args, phis: np.ndarray, mc_estimates):
-    """The sweep's value columns after alpha2,phi, planned once per run:
+def _column_plan(args, phis: np.ndarray):
+    """The sweep's f_exact and f_analytic columns, planned once per run:
     each evaluator's phi terms are computed here.
 
-    Returns ``columns(aa)``, the columns of the next block of alpha2 rows
+    Returns ``columns(aa)``, the two columns of the block of alpha2 rows
     ``aa``, shape (rows, 1), each of shape (rows, n_phi). The first is the
     mode's evaluator, the column the ``# average=`` line averages except in
-    mc mode, where it is the third (``f_mc``), from ``mc_estimates()`` (see
-    ``_mc_pool``).
+    mc mode, whose mc columns come from ``_mc_pool``.
     """
     if args.mode == "baseline":
         return lambda aa: [protocol.baseline_fidelity_plane(aa, phis)] * 2
@@ -195,14 +194,7 @@ def _column_plan(args, phis: np.ndarray, mc_estimates):
         mixed = core._form_rows(protocol._form_bank()[4], phis)
         return lambda aa: [mixed(aa), analytic(aa)]
     exact = core._form_rows(protocol._exact_form(args.pbit, args.pph), phis)
-    if args.mode == "exact":
-        return lambda aa: [exact(aa), analytic(aa)]
-
-    def columns(aa):
-        values = exact(aa)
-        means, stderrs = mc_estimates()
-        return [values, analytic(aa), means.reshape(values.shape), stderrs.reshape(values.shape)]
-    return columns
+    return lambda aa: [exact(aa), analytic(aa)]
 
 
 def _mc_processes(args) -> int:
@@ -219,9 +211,10 @@ def _mc_processes(args) -> int:
 
 @contextmanager
 def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
-    """Yield ``mc_estimates()``: the Monte Carlo means and standard errors,
-    in row-major order, of the states of the next block of rows, where grid
-    point (i, j) draws from ``SeedSequence((seed, i, j))``.
+    """Yield ``mc_estimates(first_row)``: the Monte Carlo means and standard
+    errors, in row-major order, of the states of the block of rows from
+    ``first_row``, where grid point (i, j) draws from
+    ``SeedSequence((seed, i, j))``.
 
     A block's points, in row-major order, are split into contiguous shares,
     one per process (``_mc_processes``); ``share`` builds the states and
@@ -249,7 +242,7 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
     def share(k, first_row):
         p = points(k, first_row)
         i, j = np.divmod(np.arange(p.start, p.stop), n_phi)
-        rngs = (default_rng(seed_sequence((args.seed, *divmod(q, n_phi)))) for q in p)
+        rngs = (default_rng(seed_sequence((args.seed, *ij))) for ij in zip(i, j))
         vectors = core.state_vector(alpha2s[i], phis[j])
         return protocol.mc_estimates(vectors, args.pbit, args.pph, args.trials, rngs)
 
@@ -257,10 +250,7 @@ def _mc_pool(args, alpha2s: np.ndarray, phis: np.ndarray):
         for first_row in range(0, len(alpha2s), _BLOCK_ROWS):
             _pool.send(fd, np.concatenate(share(k, first_row)))
 
-    blocks = iter(range(0, len(alpha2s), _BLOCK_ROWS))
-
-    def mc_estimates():
-        first_row = next(blocks)
+    def mc_estimates(first_row):
         shares = [share(0, first_row)]
         for k in range(1, processes):
             size = len(points(k, first_row))
@@ -294,10 +284,12 @@ def _write_sweep(args, write) -> None:
     # means is, bit for bit, grid_average of the whole column
     row_means = np.empty((len(alpha2s), 1))
     with _mc_pool(args, alpha2s, phis) if mc else nullcontext() as mc_estimates:
-        columns = _column_plan(args, phis, mc_estimates)
+        columns = _column_plan(args, phis)
         for lo in range(0, len(alpha2s), _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
             cols = columns(alpha2s[rows, None])
+            if mc:
+                cols += [c.reshape(cols[0].shape) for c in mc_estimates(lo)]
             cols[2 if mc else 0].mean(axis=1, out=row_means[rows, 0])
             write(_block_text(table, alpha_cells[rows], cols))
     average = protocol.grid_average(row_means)

@@ -409,7 +409,7 @@ _CHECKS = (
     ("reversal-composition-psd", _check_reversal_psd, 1e-12, False),
     ("channel-completeness", _check_completeness, 1e-12, False),
     ("channel-preserves-density", _check_channel_density, 1e-12, False),
-    ("measurement-sampling-frequencies", _check_sampling_frequencies, 4.0, True),
+    ("measurement-sampling-frequencies", _check_sampling_frequencies, protocol.Z_GATE, True),
     ("gauge-roundtrip", _check_gauge_roundtrip, 1e-12, False),
     ("elements-projective-construction", _check_projective_construction, 1e-12, False),
     ("clone-symmetry-and-fidelity", _check_clone_symmetry, 1e-12, False),
@@ -422,7 +422,7 @@ _CHECKS = (
     ("outcome-agreement-identities", _check_outcome_agreement_identities, 1e-12, False),
     ("fidelity-floor-and-exceptions", _check_fidelity_floor, 1e-12, False),
     ("plane-averages", _check_plane_averages, 1e-12, False),
-    ("monte-carlo-consistency", _check_monte_carlo, 4.0, True),
+    ("monte-carlo-consistency", _check_monte_carlo, protocol.Z_GATE, True),
     ("sweep-exact-mixed-columns", _check_sweep_columns, 1e-10, False),
 )
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clonerestore.cloning import (
+    EstimationChannel,
     Outcome,
     _clone_vectors,
     elements_from_cloner,
@@ -142,6 +143,17 @@ class TestEstimationElements:
             assert abs(abs(lam) - 2.0) < 1e-12  # |tr(U^dag U)| = 2 iff equal up to phase
             lam /= abs(lam)
             np.testing.assert_allclose(a, lam * REVERSAL_ADJOINTS[i], atol=1e-12)
+
+    # a reversal that is not unitary, or that leaves -sqrt(E^dag E), is
+    # refused by its index in reversal_unitaries
+    @pytest.mark.parametrize("scale, fault", [(2.0, "is not unitary"),
+                                              (-1.0, "does not leave a PSD factor")])
+    def test_bad_reversal_named(self, scale, fault):
+        est = estimation_elements()
+        reversals = est.reversal_unitaries.copy()
+        reversals[1] *= scale
+        with pytest.raises(ValueError, match=rf"^reversal_unitaries\[1\] {fault}$"):
+            EstimationChannel(est.elements, reversals)
 
     def test_outcome_encoding(self):
         assert [o.label for o in Outcome] == ["+0", "+1", "-0", "-1"]

@@ -5,6 +5,7 @@ warning into an error)."""
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,7 @@ CALLS = {
     "uqcm_output": lambda: dict(psi=PSI),
     "z_score": lambda: dict(mean=0.5, stderr=0.1, exact=0.4),
     # not exported, but public in its module
+    "linalg.det2": lambda: dict(a=MATRIX),
     "linalg.random_invertible": lambda: dict(rng=np.random.default_rng(1), size=3),
 }
 
@@ -96,13 +98,18 @@ def function(name):
     return getattr(owner, attribute)
 
 
+def call(name, args):
+    """``name`` called on ``args``; a returned generator is drawn from."""
+    out = function(name)(*args.values())
+    if inspect.isgenerator(out):
+        list(out)
+
+
 def outcome(name, args):
     """'value' or 'ValueError' for ``name`` called on ``args``, else the
-    exception's type and text; a returned generator is drawn from."""
+    exception's type and text."""
     try:
-        out = function(name)(*args.values())
-        if inspect.isgenerator(out):
-            list(out)
+        call(name, args)
     except ValueError:
         return "ValueError"
     except Exception as exc:  # a warning too: pytest makes it an error
@@ -154,6 +161,40 @@ def test_junk_entry_gives_value_or_value_error(name):
     assert failures == []
 
 
+# the array arguments ``linalg._complex_array`` converts, by the shape it
+# checks: "fixed" refuses a stack of three, "stacked" takes one, and None
+# checks no shape
+ARRAYS = [("EstimationChannel", "elements", "fixed"),
+          ("EstimationChannel", "reversal_unitaries", "fixed"),
+          ("KrausChannel", "elements", "fixed"), ("PureQubit.from_vector", "v", "fixed"),
+          ("apply_channel", "rho", "fixed"), ("bloch_form", "ops", "stacked"),
+          ("branch_counts", "vectors", "fixed"), ("fidelity", "rho", "fixed"),
+          ("hs_distance", "a", "fixed"), ("hs_distance", "b", "fixed"),
+          ("is_hermitian", "a", None), ("is_psd", "a", None), ("is_unitary", "a", None),
+          ("linalg.det2", "a", "stacked"), ("mc_estimates", "vectors", "fixed"),
+          ("nearest_unitary", "e", "stacked"), ("polar_decompose", "e", "stacked"),
+          ("reduce_qubit", "state", "stacked"), ("sample_branches", "vectors", "fixed"),
+          ("sqrtm_psd", "a", "stacked")]
+
+
+@pytest.mark.parametrize("name, arg, shape", ARRAYS)
+def test_array_argument_is_named(name, arg, shape):
+    valid = CALLS[name]()[arg]
+    entries = np.asarray(valid).astype(object)
+    entries.flat[0] = "x"
+    junk = {"str": "x", "str-entry": entries.tolist(), "dict": {}}
+    if shape is not None:
+        junk["wrong-shape"] = np.zeros((3, 5))
+    if shape == "fixed":
+        junk["stack"] = stack(valid)
+    for label, value in junk.items():
+        args = CALLS[name]()
+        args[arg] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(arg)} must ") as info:
+            call(name, args)
+        assert label != "wrong-shape" or str(info.value).endswith(", got (3, 5)")
+
+
 # a str is an iterable: as rngs, its items fail as generators when drawn
 @pytest.mark.parametrize("call, name, junk", [
     (call, name, junk)
@@ -177,11 +218,11 @@ def test_int_beyond_the_double_range_reads_as_inf(sign):
             f(matrix)
     for predicate in (cr.is_hermitian, cr.is_unitary, cr.is_psd):
         assert predicate(matrix) is False
-    with pytest.raises(ValueError, match="^vector must be finite$"):
+    with pytest.raises(ValueError, match="^v must be finite$"):
         cr.PureQubit.from_vector([big, 1])
     with pytest.raises(ValueError, match="^rho must be a finite 2x2 array$"):
         cr.fidelity(PSI, matrix)
     with pytest.raises(ValueError, match="not Gaussian integers$"):
         cr.bloch_form([matrix], 1)
-    assert np.array_equal(linalg._complex_array([big, 2**1023, 1j]),
+    assert np.array_equal(linalg._complex_array([big, 2**1023, 1j], "a"),
                           [sign * math.inf, 2.0**1023, 1j])

@@ -157,6 +157,13 @@ class TestPureQubit:
         psi = PureQubit.from_vector(np.array([0.0, np.exp(0.7j)]))
         assert (psi.alpha, psi.beta, psi.phi) == (0.0, 1.0, 0.0)
 
+    # a (1, 2) or (2, 1) array is refused, not reshaped into a 2-vector
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+    def test_from_vector_takes_shape_2_only(self, shape):
+        with pytest.raises(ValueError, match=rf"^v must have shape \(2,\), got \({shape[0]}, "
+                                             rf"{shape[1]}\)$"):
+            PureQubit.from_vector(np.ones(shape))
+
     def test_from_vector_zero_rejected(self):
         with pytest.raises(ValueError):
             PureQubit.from_vector(np.zeros(2))
@@ -166,7 +173,7 @@ class TestPureQubit:
     @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0],
                                    [1.0, complex(0.0, np.inf)], [1 + 1j, complex(-1e308, np.nan)]])
     def test_from_vector_nonfinite_rejected(self, v):
-        with pytest.raises(ValueError, match="vector must be finite"):
+        with pytest.raises(ValueError, match="^v must be finite$"):
             PureQubit.from_vector(np.array(v))
 
     def test_from_vector_norm_overflow_rejected(self):

@@ -1,10 +1,17 @@
 """The package's export list names each public name its ``__init__`` imports,
-and the CLI uses only the public names of ``verify``."""
+the CLI uses only the public names of ``verify``, and every source file
+parses at the ``requires-python`` floor, 3.10."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import clonerestore
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(path for folder in ("src", "tests", "scripts", "demos")
+                 for path in (ROOT / folder).rglob("*.py"))
 
 
 def test_all_lists_each_imported_public_name_once():
@@ -26,3 +33,22 @@ def test_cli_uses_no_private_name_of_verify():
         if isinstance(node, ast.ImportFrom) and node.module in ("verify", "clonerestore.verify"):
             private += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_sources_found():
+    assert {path.relative_to(ROOT).parts[0] for path in SOURCES} == {"src", "tests", "scripts",
+                                                                     "demos"}
+
+
+# grammar only: the 3.10 parser, not a 3.10 interpreter with its library
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_source_parses_at_python_3_10(path):
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("source", ["try:\n    pass\nexcept* ValueError:\n    pass\n",
+                                    "type X = int\n", "def f[T](x):\n    pass\n"],
+                         ids=["except-star", "type-alias", "type-parameters"])
+def test_parser_rejects_newer_grammar(source):
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
